@@ -9,7 +9,6 @@ or input error.  All JSON reports carry ``"schema": "cli/1"``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 
@@ -142,13 +141,7 @@ def _run_batch(args, lexicon: Lexicon) -> int:
     with open(args.batch, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(
-                lambda ln: _batch_line(ln, lexicon, args.max_size), lines
-            ))
-    else:
-        reports = [_batch_line(ln, lexicon, args.max_size) for ln in lines]
+    reports = [_batch_line(ln, lexicon, args.max_size) for ln in lines]
     if args.json:
         print(json.dumps({"schema": SCHEMA, "results": reports}, indent=2))
     else:
@@ -277,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sentence_args(p)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--batch", help="file of sentences: words [:: goal [:: bracketing]]")
-    p.add_argument("--jobs", type=int, default=1, help="parallel batch workers")
     p.set_defaults(func=cmd_parse)
 
     c = sub.add_parser("compile", help="write initial and normalized diagrams")

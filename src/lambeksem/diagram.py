@@ -427,194 +427,117 @@ def tensor_many(*ds: Diagram) -> Diagram:
 
 # -- normalization
 #
-# Rewrites, each of which strictly decreases nodes + wires and preserves
-# the evaluated tensor: parallel swap-swap cancellation, cup/cap yanking,
-# spider self-loop stripping, spider fusion, and unary spider removal.
-# Closed loops (scalar factors) are deliberately left in place so that
-# evaluation before and after normalization agrees exactly.
+# Spiders, cups, caps and swaps only say which wire ends carry the same
+# basis index.  Grouping the ends into index classes is therefore the
+# whole normal form: by the spider theorem for the copying Frobenius
+# algebra, each connected web of those generators is a single spider.
 
 
-def _wire_maps(d: Diagram):
-    by_prod = {}
-    by_cons = {}
-    for w in d.wires:
-        by_prod[w[0]] = w
-        by_cons[w[1]] = w
-    return by_prod, by_cons
+def index_classes(d: Diagram) -> tuple[dict[Port, int], list[str]]:
+    """Group the ports of ``d`` into shared-index classes.
 
+    A wire joins its two ports; a spider, cup or cap joins all of its
+    legs; a swap joins each input to the output it crosses to.  Returns
+    the class of every port, with classes numbered densely in wire
+    order, and the space of each class.
+    """
+    port_wire: dict[Port, int] = {}
+    for pos, (prod, cons) in enumerate(d.wires):
+        port_wire[prod] = pos
+        port_wire[cons] = pos
+    parent = list(range(len(d.wires)))
 
-def _drop_swap_pair(d: Diagram, by_prod, by_cons):
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
     for n in d.nodes:
-        if n.kind != "swap":
+        if n.kind == "box":
             continue
-        w0 = by_prod.get(("o", n.nid, 0))
-        w1 = by_prod.get(("o", n.nid, 1))
-        if w0 is None or w1 is None:
-            continue
-        c0, c1 = w0[1], w1[1]
-        if not (c0[0] == "i" and c1[0] == "i" and c0[1] == c1[1]):
-            continue
-        other = c0[1]
-        if other == n.nid or d.node(other).kind != "swap":
-            continue
-        if (c0[2], c1[2]) != (0, 1):
-            continue
-        # swap ; swap = identity on both strands
-        p0 = by_cons[("i", n.nid, 0)][0]
-        p1 = by_cons[("i", n.nid, 1)][0]
-        q0 = by_prod[("o", other, 0)][1]
-        q1 = by_prod[("o", other, 1)][1]
-        dead = {
-            by_cons[("i", n.nid, 0)], by_cons[("i", n.nid, 1)],
-            w0, w1,
-            by_prod[("o", other, 0)], by_prod[("o", other, 1)],
-        }
-        nodes = tuple(x for x in d.nodes if x.nid not in (n.nid, other))
-        wires = tuple(w for w in d.wires if w not in dead) + ((p0, q0), (p1, q1))
-        return Diagram(d.inputs, d.outputs, nodes, wires)
-    return None
+        if n.kind == "swap":
+            groups = [[("i", n.nid, 0), ("o", n.nid, 1)], [("i", n.nid, 1), ("o", n.nid, 0)]]
+        else:
+            groups = [[("i", n.nid, k) for k in range(len(n.ins))]
+                      + [("o", n.nid, k) for k in range(len(n.outs))]]
+        for legs in groups:
+            root = find(port_wire[legs[0]])
+            for leg in legs[1:]:
+                parent[find(port_wire[leg])] = root
 
-
-def _yank(d: Diagram, by_prod, by_cons):
-    for n in d.nodes:
-        if n.kind != "cap":
-            continue
-        for a in (0, 1):
-            wa = by_prod[("o", n.nid, a)]
-            cons = wa[1]
-            if cons[0] != "i":
-                continue
-            u = d.node(cons[1])
-            if u.kind != "cup":
-                continue
-            b = cons[2]
-            # if the other legs also join the same pair we have a closed
-            # loop, a scalar: leave it for evaluation to count
-            w_other_cap = by_prod[("o", n.nid, 1 - a)]
-            if w_other_cap[1] == ("i", u.nid, 1 - b):
-                continue
-            w_other_cup = by_cons[("i", u.nid, 1 - b)]
-            dead = {wa, w_other_cap, w_other_cup}
-            nodes = tuple(x for x in d.nodes if x.nid not in (n.nid, u.nid))
-            wires = tuple(w for w in d.wires if w not in dead)
-            wires += ((w_other_cup[0], w_other_cap[1]),)
-            return Diagram(d.inputs, d.outputs, nodes, wires)
-    return None
-
-
-def _strip_spider_loop(d: Diagram, by_prod, by_cons):
-    for n in d.nodes:
-        if n.kind != "spider":
-            continue
-        loop = None
-        for j in range(len(n.outs)):
-            cons = by_prod[("o", n.nid, j)][1]
-            if cons[0] == "i" and cons[1] == n.nid:
-                loop = (j, cons[2])
-                break
-        if loop is None:
-            continue
-        j, k = loop
-        if len(n.ins) + len(n.outs) <= 2:
-            continue  # a bare circle: scalar, keep
-        new = Node(n.nid, "spider", n.ins[:k] + n.ins[k + 1:], n.outs[:j] + n.outs[j + 1:])
-        wires = []
-        for prod, cons in d.wires:
-            if prod == ("o", n.nid, j) and cons == ("i", n.nid, k):
-                continue
-            if prod[0] == "o" and prod[1] == n.nid:
-                prod = ("o", n.nid, prod[2] - (prod[2] > j))
-            if cons[0] == "i" and cons[1] == n.nid:
-                cons = ("i", n.nid, cons[2] - (cons[2] > k))
-            wires.append((prod, cons))
-        nodes = tuple(new if x.nid == n.nid else x for x in d.nodes)
-        return Diagram(d.inputs, d.outputs, nodes, tuple(wires))
-    return None
-
-
-def _fuse_spiders(d: Diagram, by_prod, by_cons):
-    for n in d.nodes:
-        if n.kind != "spider":
-            continue
-        partner = None
-        for j in range(len(n.outs)):
-            cons = by_prod[("o", n.nid, j)][1]
-            if cons[0] == "i" and cons[1] != n.nid:
-                q = d.node(cons[1])
-                if q.kind == "spider" and q.space == n.space:
-                    partner = q
-                    break
-        if partner is None:
-            continue
-        p, q = n, partner
-        shared = set()
-        for prod, cons in d.wires:
-            if prod[0] == "o" and cons[0] == "i":
-                ends = {prod[1], cons[1]}
-                if ends == {p.nid, q.nid}:
-                    shared.add((prod, cons))
-        legs_left = len(p.ins) + len(p.outs) + len(q.ins) + len(q.outs) - 2 * len(shared)
-        if legs_left < 1:
-            continue  # fully contracted pair: a scalar, keep
-        nid = max(x.nid for x in d.nodes) + 1
-        remap = {}
-        new_ins: list[str] = []
-        new_outs: list[str] = []
-        shared_ports = {w[0] for w in shared} | {w[1] for w in shared}
-        for node in (p, q):
-            for k in range(len(node.ins)):
-                port = ("i", node.nid, k)
-                if port in shared_ports:
-                    continue
-                remap[port] = ("i", nid, len(new_ins))
-                new_ins.append(node.space)
-            for k in range(len(node.outs)):
-                port = ("o", node.nid, k)
-                if port in shared_ports:
-                    continue
-                remap[port] = ("o", nid, len(new_outs))
-                new_outs.append(node.space)
-        fused = Node(nid, "spider", tuple(new_ins), tuple(new_outs))
-        nodes = tuple(x for x in d.nodes if x.nid not in (p.nid, q.nid)) + (fused,)
-        wires = []
-        for w in d.wires:
-            if w in shared:
-                continue
-            prod, cons = w
-            wires.append((remap.get(prod, prod), remap.get(cons, cons)))
-        return Diagram(d.inputs, d.outputs, nodes, tuple(wires))
-    return None
-
-
-def _drop_unary_spider(d: Diagram, by_prod, by_cons):
-    for n in d.nodes:
-        if n.kind != "spider" or len(n.ins) != 1 or len(n.outs) != 1:
-            continue
-        w_in = by_cons[("i", n.nid, 0)]
-        w_out = by_prod[("o", n.nid, 0)]
-        if w_in[0] == ("o", n.nid, 0):
-            continue  # self-looped unary spider: a circle, keep
-        nodes = tuple(x for x in d.nodes if x.nid != n.nid)
-        wires = tuple(w for w in d.wires if w not in (w_in, w_out))
-        wires += ((w_in[0], w_out[1]),)
-        return Diagram(d.inputs, d.outputs, nodes, wires)
-    return None
-
-
-_REWRITES = (_drop_swap_pair, _yank, _strip_spider_loop, _fuse_spiders, _drop_unary_spider)
+    outs_of = {n.nid: n.outs for n in d.nodes}
+    dense: dict[int, int] = {}
+    spaces: list[str] = []
+    port_class: dict[Port, int] = {}
+    for pos, (prod, cons) in enumerate(d.wires):
+        root = find(pos)
+        if root not in dense:
+            dense[root] = len(spaces)
+            spaces.append(d.inputs[prod[1]][0] if prod[0] == "I" else outs_of[prod[1]][prod[2]])
+        port_class[prod] = port_class[cons] = dense[root]
+    return port_class, spaces
 
 
 def normalize(d: Diagram) -> Diagram:
-    """Rewrite to a fixpoint.  Evaluation-preserving and idempotent."""
-    while True:
-        by_prod, by_cons = _wire_maps(d)
-        for rule in _REWRITES:
-            nxt = rule(d, by_prod, by_cons)
-            if nxt is not None:
-                break
+    """One spider per index class, boxes kept in their order.
+
+    Box outputs and diagram inputs are producer ends; box inputs and
+    diagram outputs are consumer ends.  A class with one end of each
+    becomes a plain wire; any other open class becomes one spider from
+    its producer ends to its consumer ends.  Spiders are ordered by
+    their smallest end and legs by port, so the result depends only on
+    the boxes and the classes, and evaluation is unchanged.  Closed
+    classes are scalar loops: two per swap fed back into itself, an odd
+    one as a self-looped 1-1 spider, so the normal form never has more
+    nodes than its input.
+    """
+    port_class, spaces = index_classes(d)
+    prods: list[list[Port]] = [[] for _ in spaces]
+    cons: list[list[Port]] = [[] for _ in spaces]
+    for k in range(len(d.inputs)):
+        prods[port_class[("I", k)]].append(("I", k))
+    for k in range(len(d.outputs)):
+        cons[port_class[("O", k)]].append(("O", k))
+    nodes: list[Node] = []
+    for n in d.nodes:
+        if n.kind != "box":
+            continue
+        nid = len(nodes)
+        nodes.append(Node(nid, "box", n.ins, n.outs, n.name))
+        for k in range(len(n.ins)):
+            cons[port_class[("i", n.nid, k)]].append(("i", nid, k))
+        for k in range(len(n.outs)):
+            prods[port_class[("o", n.nid, k)]].append(("o", nid, k))
+
+    wires: list[tuple[Port, Port]] = []
+    webs = []
+    loops = []
+    for space, p, q in zip(spaces, prods, cons):
+        if len(p) == len(q) == 1:
+            wires.append((p[0], q[0]))
+        elif p or q:
+            p.sort()
+            q.sort()
+            webs.append((min(p[:1] + q[:1]), space, p, q))
         else:
-            return d
-        d = nxt
+            loops.append(space)
+    for _, space, p, q in sorted(webs):
+        nid = len(nodes)
+        nodes.append(Node(nid, "spider", (space,) * len(p), (space,) * len(q)))
+        wires += [(port, ("i", nid, k)) for k, port in enumerate(p)]
+        wires += [(("o", nid, k), port) for k, port in enumerate(q)]
+    loops.sort()
+    for k in range(0, len(loops), 2):
+        nid = len(nodes)
+        pair = tuple(loops[k:k + 2])
+        if len(pair) == 2:
+            nodes.append(Node(nid, "swap", pair, pair[::-1]))
+            wires += [(("o", nid, 0), ("i", nid, 1)), (("o", nid, 1), ("i", nid, 0))]
+        else:
+            nodes.append(Node(nid, "spider", pair, pair))
+            wires.append((("o", nid, 0), ("i", nid, 0)))
+    return Diagram(d.inputs, d.outputs, tuple(nodes), tuple(wires))
 
 
 # -- textual Frobenius networks

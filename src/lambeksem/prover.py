@@ -16,7 +16,6 @@ memoized failures, so results are deterministic.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from .formula import (
     print_formula,
     replace_at,
     size,
-    subformula_at,
 )
 
 
@@ -312,93 +310,7 @@ def validate(term: ProofTerm) -> Arrow:
 
 
 # ---------------------------------------------------------------------------
-# Residuation (derived) and structural application
-
-
-class ResForm(enum.Enum):
-    """The six invertible residuation steps."""
-
-    TENSOR_TO_OVER = "tensor_to_over"  # A*B -> C   =>  A -> C/B
-    OVER_TO_TENSOR = "over_to_tensor"  # A -> C/B   =>  A*B -> C
-    TENSOR_TO_UNDER = "tensor_to_under"  # A*B -> C  =>  B -> A\C
-    UNDER_TO_TENSOR = "under_to_tensor"  # B -> A\C  =>  A*B -> C
-    DIA_TO_BOX = "dia_to_box"  # <m>A -> B  =>  A -> [m]B
-    BOX_TO_DIA = "box_to_dia"  # A -> [m]B  =>  <m>A -> B
-
-    @property
-    def inverse(self) -> "ResForm":
-        pairs = {
-            ResForm.TENSOR_TO_OVER: ResForm.OVER_TO_TENSOR,
-            ResForm.OVER_TO_TENSOR: ResForm.TENSOR_TO_OVER,
-            ResForm.TENSOR_TO_UNDER: ResForm.UNDER_TO_TENSOR,
-            ResForm.UNDER_TO_TENSOR: ResForm.TENSOR_TO_UNDER,
-            ResForm.DIA_TO_BOX: ResForm.BOX_TO_DIA,
-            ResForm.BOX_TO_DIA: ResForm.DIA_TO_BOX,
-        }
-        return pairs[self]
-
-
-def residuate(goal: Arrow, form: ResForm) -> Arrow:
-    """Apply one invertible residuation step to a goal."""
-    s, t = goal.source, goal.target
-    match form:
-        case ResForm.TENSOR_TO_OVER:
-            if not isinstance(s, Tensor):
-                raise ProverError(f"source of {goal} is not a product")
-            return Arrow(s.left, Over(t, s.right))
-        case ResForm.OVER_TO_TENSOR:
-            if not isinstance(t, Over):
-                raise ProverError(f"target of {goal} is not a rightward slash")
-            return Arrow(Tensor(s, t.arg), t.result)
-        case ResForm.TENSOR_TO_UNDER:
-            if not isinstance(s, Tensor):
-                raise ProverError(f"source of {goal} is not a product")
-            return Arrow(s.right, Under(s.left, t))
-        case ResForm.UNDER_TO_TENSOR:
-            if not isinstance(t, Under):
-                raise ProverError(f"target of {goal} is not a leftward slash")
-            return Arrow(Tensor(t.arg, s), t.result)
-        case ResForm.DIA_TO_BOX:
-            if not isinstance(s, Dia):
-                raise ProverError(f"source of {goal} is not a diamond formula")
-            return Arrow(s.body, Box(s.mode, t))
-        case ResForm.BOX_TO_DIA:
-            if not isinstance(t, Box):
-                raise ProverError(f"target of {goal} is not a box formula")
-            return Arrow(Dia(t.mode, s), t.body)
-    raise ProverError(f"unknown residuation form {form!r}")
-
-
-def apply_structural(
-    tree: Formula, rule: str, position: Path
-) -> tuple[Formula, ProofTerm]:
-    """Rewrite ``(A*B)*<x>C`` at ``position`` by alpha or sigma.
-
-    Returns the rewritten tree together with the proof term for the move
-    lifted to the whole tree.  Requesting a move on an island-mode diamond is
-    an error: that family has no structural rules.
-    """
-    if rule not in ("alpha", "sigma"):
-        raise ProverError(f"unknown structural rule {rule!r}")
-    sub = subformula_at(tree, position)
-    if not (
-        isinstance(sub, Tensor)
-        and isinstance(sub.left, Tensor)
-        and isinstance(sub.right, Dia)
-    ):
-        raise ProverError(
-            f"no (A*B)*<m>C pattern at {format_path(position)} in {print_formula(tree)}"
-        )
-    if sub.right.mode is not Mode.X:
-        raise ProverError(
-            f"structural rule {rule} requested at {format_path(position)}: the "
-            f"diamond there has mode {sub.right.mode.value} (island); only mode "
-            f"{Mode.X.value} has structural rules"
-        )
-    a, b, c = sub.left.left, sub.left.right, sub.right.body
-    inner = alpha(a, b, c) if rule == "alpha" else sigma(a, b, c)
-    lifted = _lift(tree, position, inner)
-    return _replace_or_root(tree, position, inner.target), lifted
+# Lifting arrows into a context
 
 
 def _lift(ctx: Formula, path: Path, inner: ProofTerm) -> ProofTerm:
@@ -1016,28 +928,37 @@ def proof_from_dict(d: Mapping) -> ProofTerm:
     children = tuple(proof_from_dict(c) for c in d.get("children", ()))
     source = parse_formula(d["source"])
     target = parse_formula(d["target"])
+
+    def need(ok: bool, shape: str) -> None:
+        if not ok:
+            raise ProverError(f"{rule} proof needs {shape}, got {d['source']} -> {d['target']}")
+
     params: tuple[Formula, ...] = ()
     if rule == "id":
         params = (source,)
     elif rule == "ev_over":
-        assert isinstance(source, Tensor)
+        need(isinstance(source, Tensor), "a product source")
         params = (source.right, target)
     elif rule == "coev_over":
-        assert isinstance(target, Over)
+        need(isinstance(target, Over), "a rightward-slash target")
         params = (target.arg, source)
     elif rule == "ev_under":
-        assert isinstance(source, Tensor)
+        need(isinstance(source, Tensor), "a product source")
         params = (source.left, target)
     elif rule == "coev_under":
-        assert isinstance(target, Under)
+        need(isinstance(target, Under), "a leftward-slash target")
         params = (target.arg, source)
     elif rule == "ev_box":
         params = (target,)
     elif rule == "coev_box":
         params = (source,)
     elif rule in ("alpha", "sigma"):
-        assert isinstance(source, Tensor) and isinstance(source.left, Tensor)
-        assert isinstance(source.right, Dia)
+        need(
+            isinstance(source, Tensor)
+            and isinstance(source.left, Tensor)
+            and isinstance(source.right, Dia),
+            "a (A*B)*<m>C source",
+        )
         params = (source.left.left, source.left.right, source.right.body)
     term = ProofTerm(rule, mode, params, children, source, target)
     validate(term)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, DiagramError
+from .diagram import Diagram, DiagramError, index_classes
 
 
 class TensorError(ValueError):
@@ -136,53 +136,6 @@ class TensorStore:
 # -- einsum evaluation
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _wire_classes(d: Diagram):
-    """Group wires into shared-index classes.
-
-    Spiders, cups, caps and boundary-free bookkeeping all force their
-    incident wires to carry the same basis index; swaps cross theirs.
-    Returns (class id per wire, port -> wire position map).
-    """
-    port_wire: dict = {}
-    for pos, (prod, cons) in enumerate(d.wires):
-        port_wire[prod] = pos
-        port_wire[cons] = pos
-    uf = _UnionFind(len(d.wires))
-    for n in d.nodes:
-        match n.kind:
-            case "spider":
-                legs = [("i", n.nid, k) for k in range(len(n.ins))]
-                legs += [("o", n.nid, k) for k in range(len(n.outs))]
-                first = port_wire[legs[0]]
-                for leg in legs[1:]:
-                    uf.union(first, port_wire[leg])
-            case "cup":
-                uf.union(port_wire[("i", n.nid, 0)], port_wire[("i", n.nid, 1)])
-            case "cap":
-                uf.union(port_wire[("o", n.nid, 0)], port_wire[("o", n.nid, 1)])
-            case "swap":
-                uf.union(port_wire[("i", n.nid, 0)], port_wire[("o", n.nid, 1)])
-                uf.union(port_wire[("i", n.nid, 1)], port_wire[("o", n.nid, 0)])
-    classes = [uf.find(w) for w in range(len(d.wires))]
-    return classes, port_wire
-
-
 def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
     """Contract ``d`` against ``store``.
 
@@ -193,21 +146,17 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
     if not d.wires:
         return Tensor(out_spaces, np.array(1.0))
-    classes, port_wire = _wire_classes(d)
-    class_space = {}
-    for pos, (prod, _) in enumerate(d.wires):
-        class_space.setdefault(classes[pos], d.port_space(prod))
-
+    port_class, spaces = index_classes(d)
     boundary_ports = [("I", k) for k in range(len(d.inputs))]
     boundary_ports += [("O", k) for k in range(len(d.outputs))]
-    boundary_classes = [classes[port_wire[p]] for p in boundary_ports]
+    boundary_classes = [port_class[p] for p in boundary_ports]
 
     operands: list[tuple[np.ndarray, list[int]]] = []
     for n in d.nodes:
         if n.kind != "box":
             continue
-        idx = [classes[port_wire[("i", n.nid, k)]] for k in range(len(n.ins))]
-        idx += [classes[port_wire[("o", n.nid, k)]] for k in range(len(n.outs))]
+        idx = [port_class[("i", n.nid, k)] for k in range(len(n.ins))]
+        idx += [port_class[("o", n.nid, k)] for k in range(len(n.outs))]
         operands.append((store.get(n.name, n.ins + n.outs), idx))
 
     covered = {c for _, idx in operands for c in idx}
@@ -215,13 +164,13 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
     # cannot repeat an output label
     out_idx: list[int] = []
     seen_out: set[int] = set()
-    next_free = max(classes, default=-1) + 1
+    next_free = len(spaces)
     for c in boundary_classes:
         if c not in seen_out:
             seen_out.add(c)
             out_idx.append(c)
             continue
-        eye = np.eye(store.dim(class_space[c]))
+        eye = np.eye(store.dim(spaces[c]))
         operands.append((eye, [c, next_free]))
         covered.add(c)
         covered.add(next_free)
@@ -229,14 +178,14 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
         next_free += 1
     for c in seen_out:
         if c not in covered:
-            operands.append((np.ones(store.dim(class_space[c])), [c]))
+            operands.append((np.ones(store.dim(spaces[c])), [c]))
             covered.add(c)
 
     # classes touching nothing visible are closed loops: scalar factors
     scalar = 1.0
-    for c in sorted(set(classes)):
+    for c, space in enumerate(spaces):
         if c not in covered:
-            scalar *= store.dim(class_space[c])
+            scalar *= store.dim(space)
 
     if not operands:
         return Tensor(out_spaces, np.array(scalar))

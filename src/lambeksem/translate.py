@@ -17,6 +17,7 @@ Frobenius network per word, wired together along the linking.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -279,16 +280,9 @@ def interpret_proof(term: ProofTerm) -> Diagram:
 # -- axiom linkings
 
 
-_NAT_CACHE: dict[Formula, int] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _n_atoms(f: Formula) -> int:
-    try:
-        return _NAT_CACHE[f]
-    except KeyError:
-        n = sum(1 for _ in iter_atoms(f))
-        _NAT_CACHE[f] = n
-        return n
+    return sum(1 for _ in iter_atoms(f))
 
 
 def _straight(n: int) -> frozenset:

@@ -192,6 +192,8 @@ def test_criterion_4_normalization_preserves_meaning(capsys):
             problems.append(f"{sentence!r}: normalization changed the value")
         if not np.allclose(v1.array, v3.array, rtol=1e-9, atol=1e-12):
             problems.append(f"{sentence!r}: link route disagrees")
+        if reduced.to_json() != normalize(compile_sentence(parse, states)).to_json():
+            problems.append(f"{sentence!r}: routes differ in normal form")
     report(capsys, 4, "evaluation is invariant under normalization", problems)
 
 

@@ -105,9 +105,7 @@ def test_batch_with_failure_exits_1(tmp_path, capsys):
     batch.write_text(
         "Bob left the room\npapers that Bob rejected the proposal :: n\n"
     )
-    code, out, _ = run(
-        capsys, "parse", "--batch", str(batch), "--jobs", "2", "--json", "x"
-    )
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--json", "x")
     assert code == 1
     doc = json.loads(out)
     verdicts = [r["derivable"] for r in doc["results"]]

@@ -11,10 +11,8 @@ from lambeksem.prover import (
     Arrow,
     Mode,
     ProverError,
-    ResForm,
     SearchConfig,
     alpha,
-    apply_structural,
     coev_box,
     coev_over,
     compose,
@@ -26,10 +24,10 @@ from lambeksem.prover import (
     mon_over,
     parse_bracketing,
     pid,
+    proof_from_dict,
     proof_from_json,
     proof_to_json,
     prove,
-    residuate,
     sigma,
     validate,
 )
@@ -62,6 +60,8 @@ DERIVABLE = [
     ("(a*b)*<x>c", "(a*<x>c)*b"),
     ("np*(np\\s)", "s"),
     ("(s/(np\\s))*(np\\s)", "s"),
+    ("a/b", "a/b"),
+    ("d*((a*b)*<x>c)", "d*(a*(b*<x>c))"),
 ]
 
 UNDERIVABLE = [
@@ -120,48 +120,6 @@ def test_compose_and_monotone():
         compose(pid(a), pid(b))
 
 
-def test_residuation_round_trips():
-    pairs = [
-        (arrow("a*b", "c"), ResForm.TENSOR_TO_OVER, ResForm.OVER_TO_TENSOR),
-        (arrow("a*b", "c"), ResForm.TENSOR_TO_UNDER, ResForm.UNDER_TO_TENSOR),
-        (arrow("<x>a", "b"), ResForm.DIA_TO_BOX, ResForm.BOX_TO_DIA),
-    ]
-    for g, there, back in pairs:
-        shifted = residuate(g, there)
-        assert residuate(shifted, back) == g
-    assert residuate(arrow("a*b", "c"), ResForm.TENSOR_TO_OVER) == arrow("a", "c/b")
-    assert residuate(arrow("a*b", "c"), ResForm.TENSOR_TO_UNDER) == arrow("b", "a\\c")
-    assert residuate(arrow("<x>a", "b"), ResForm.DIA_TO_BOX) == arrow("a", "[x]b")
-    with pytest.raises(ProverError):
-        residuate(arrow("a", "b"), ResForm.TENSOR_TO_OVER)
-
-
-def test_residuation_preserves_derivability():
-    g = arrow("(a/b)*b", "a")
-    shifted = residuate(g, ResForm.TENSOR_TO_OVER)
-    assert shifted == arrow("a/b", "a/b")
-    r = prove(shifted)
-    assert r.proofs and validate(r.proofs[0]) == shifted
-
-
-def test_apply_structural():
-    t = parse_formula("(a*b)*<x>c")
-    moved, term = apply_structural(t, "alpha", ())
-    assert print_formula(moved) == "a*(b*<x>c)"
-    assert validate(term) == Arrow(t, moved)
-    swapped, term2 = apply_structural(t, "sigma", ())
-    assert print_formula(swapped) == "(a*<x>c)*b"
-    assert validate(term2) == Arrow(t, swapped)
-    nested = parse_formula("d*((a*b)*<x>c)")
-    moved3, term3 = apply_structural(nested, "alpha", ("R",))
-    assert print_formula(moved3) == "d*(a*(b*<x>c))"
-    assert validate(term3) == Arrow(nested, moved3)
-    with pytest.raises(ProverError):
-        apply_structural(parse_formula("a*b"), "alpha", ())
-    with pytest.raises(ProverError):
-        apply_structural(parse_formula("(a*b)*<i>c"), "alpha", ())
-
-
 def test_island_mode_blocks_rebracketing():
     # the same shape succeeds for the extraction mode and fails for the
     # island mode, with the rejection coming from a completed search
@@ -189,6 +147,15 @@ def test_proof_json_round_trip():
         back = proof_from_json(proof_to_json(t))
         assert back == t
         assert validate(back) == g
+
+
+def test_proof_from_dict_rejects_malformed_terms():
+    with pytest.raises(ProverError, match="ev_over"):
+        proof_from_dict({"rule": "ev_over", "source": "a", "target": "a"})
+    with pytest.raises(ProverError, match="alpha"):
+        proof_from_dict(
+            {"rule": "alpha", "mode": "x", "source": "a*b", "target": "a*b"}
+        )
 
 
 def test_find_all_returns_distinct_valid_proofs():

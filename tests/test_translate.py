@@ -177,6 +177,34 @@ def test_link_route_agrees_with_hom_route():
         v1 = eval_diagram(via_links, store)
         v2 = eval_diagram(via_hom, store)
         np.testing.assert_allclose(v1.array, v2.array, rtol=1e-9, atol=1e-12)
+        assert normalize(via_links).to_json() == normalize(via_hom).to_json()
+
+
+def test_gap_normal_form_has_one_copying_spider():
+    # the paper's claim: the head noun and both gapped objects share one
+    # N spider, which also carries the phrase's output
+    lex = builtin_lexicon()
+    words = ["papers", "that", "Bob", "rejected", "without", "reading"]
+    text = "(papers (that (Bob (rejected i:(without reading)))))"
+    parse = derive_sentence(lex, words, F("n"), bracketing=text).parses[0]
+    d = normalize(compile_sentence(parse, lex.states(words, parse.types)))
+    assert [n.name for n in d.nodes if n.kind == "box"] == [
+        "papers", "Bob", "rejected", "reading"
+    ]
+    spiders = [n for n in d.nodes if n.kind == "spider"]
+    assert sorted((n.space, len(n.ins) + len(n.outs)) for n in spiders) == [
+        ("N", 3), ("N", 4), ("S", 2)
+    ]
+    (copy,) = [n.nid for n in spiders if len(n.ins) + len(n.outs) == 4]
+    names = {n.nid: n.name for n in d.nodes}
+    ends = sorted(
+        other if other[0] == "O" else (names[other[1]], other[2])
+        for wire in d.wires
+        for here, other in (wire, wire[::-1])
+        if here[0] in "io" and here[1] == copy
+    )
+    # the object leg is the last N wire of each transitive cube
+    assert ends == [("O", 0), ("papers", 0), ("reading", 2), ("rejected", 2)]
 
 
 def test_compile_rejects_mismatched_states():
