@@ -127,17 +127,18 @@ class Diagram:
         raise DiagramError(f"bad port {port!r}")
 
     def validate(self) -> None:
-        by_id = {}
+        ids: set[int] = set()
         for n in self.nodes:
-            if n.nid in by_id:
+            if n.nid in ids:
                 raise DiagramError(f"duplicate node id {n.nid}")
             n.check()
-            by_id[n.nid] = n
-        producers = {("I", k) for k in range(len(self.inputs))}
-        consumers = {("O", k) for k in range(len(self.outputs))}
+            ids.add(n.nid)
+        # port -> space, for every producer and consumer end
+        producers = {("I", k): s for k, (s, _) in enumerate(self.inputs)}
+        consumers = {("O", k): s for k, (s, _) in enumerate(self.outputs)}
         for n in self.nodes:
-            producers.update(("o", n.nid, k) for k in range(len(n.outs)))
-            consumers.update(("i", n.nid, k) for k in range(len(n.ins)))
+            producers.update((("o", n.nid, k), s) for k, s in enumerate(n.outs))
+            consumers.update((("i", n.nid, k), s) for k, s in enumerate(n.ins))
         seen_p: set = set()
         seen_c: set = set()
         for prod, cons in self.wires:
@@ -149,13 +150,13 @@ class Diagram:
                 raise DiagramError(f"producer {prod!r} used twice")
             if cons in seen_c:
                 raise DiagramError(f"consumer {cons!r} used twice")
-            if self.port_space(prod) != self.port_space(cons):
+            if producers[prod] != consumers[cons]:
                 raise DiagramError(
                     f"wire {prod!r} -> {cons!r} joins different spaces"
                 )
             seen_p.add(prod)
             seen_c.add(cons)
-        if seen_p != producers or seen_c != consumers:
+        if seen_p != producers.keys() or seen_c != consumers.keys():
             raise DiagramError("dangling ports")
 
     # -- serialization

@@ -44,9 +44,39 @@ class FormulaError(ValueError):
 
 
 class Formula:
-    """Base class; concrete nodes are Atom, Tensor, Over, Under, Dia, Box."""
+    """Base class; concrete nodes are Atom, Tensor, Over, Under, Dia, Box.
 
-    __slots__ = ("_hash",)
+    Every node stores figures derived from its children's when it is built:
+    ``size`` (connective and atom nodes), ``depth`` (nodes on the longest
+    root-to-atom path), ``n_atoms`` (atom occurrences) and the hash.
+    Equality compares ``_parts``, the tuple of the node's fields;
+    ``_counts`` keeps the result of :func:`count_vector`.
+    """
+
+    __slots__ = ("_parts", "_hash", "size", "depth", "n_atoms", "_counts")
+
+    def _binary(self, tag: str, a: "Formula", b: "Formula") -> None:
+        self._parts = (a, b)
+        self._hash = hash((tag, a._hash, b._hash))
+        self.size = 1 + a.size + b.size
+        self.depth = 1 + max(a.depth, b.depth)
+        self.n_atoms = a.n_atoms + b.n_atoms
+        self._counts = None
+
+    def _modal(self, tag: str, mode: "Mode", body: "Formula") -> None:
+        self._parts = (mode, body)
+        self._hash = hash((tag, mode.value, body._hash))
+        self.size = 1 + body.size
+        self.depth = 1 + body.depth
+        self.n_atoms = body.n_atoms
+        self._counts = None
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and other._hash == self._hash
+            and other._parts == self._parts
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -64,12 +94,10 @@ class Atom(Formula):
 
     def __init__(self, name: str):
         self.name = name
+        self._parts = (name,)
         self._hash = hash(("a", name))
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Atom and other.name == self.name
-
-    __hash__ = Formula.__hash__
+        self.size = self.depth = self.n_atoms = 1
+        self._counts = None
 
 
 class Tensor(Formula):
@@ -79,17 +107,7 @@ class Tensor(Formula):
     def __init__(self, left: Formula, right: Formula):
         self.left = left
         self.right = right
-        self._hash = hash(("t", left._hash, right._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Tensor
-            and other._hash == self._hash
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    __hash__ = Formula.__hash__
+        self._binary("t", left, right)
 
 
 class Over(Formula):
@@ -101,17 +119,7 @@ class Over(Formula):
     def __init__(self, result: Formula, arg: Formula):
         self.result = result
         self.arg = arg
-        self._hash = hash(("o", result._hash, arg._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Over
-            and other._hash == self._hash
-            and other.result == self.result
-            and other.arg == self.arg
-        )
-
-    __hash__ = Formula.__hash__
+        self._binary("o", result, arg)
 
 
 class Under(Formula):
@@ -123,17 +131,7 @@ class Under(Formula):
     def __init__(self, arg: Formula, result: Formula):
         self.arg = arg
         self.result = result
-        self._hash = hash(("u", arg._hash, result._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Under
-            and other._hash == self._hash
-            and other.arg == self.arg
-            and other.result == self.result
-        )
-
-    __hash__ = Formula.__hash__
+        self._binary("u", arg, result)
 
 
 class Dia(Formula):
@@ -143,17 +141,7 @@ class Dia(Formula):
     def __init__(self, mode: Mode, body: Formula):
         self.mode = mode
         self.body = body
-        self._hash = hash(("d", mode.value, body._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Dia
-            and other._hash == self._hash
-            and other.mode is self.mode
-            and other.body == self.body
-        )
-
-    __hash__ = Formula.__hash__
+        self._modal("d", mode, body)
 
 
 class Box(Formula):
@@ -163,17 +151,7 @@ class Box(Formula):
     def __init__(self, mode: Mode, body: Formula):
         self.mode = mode
         self.body = body
-        self._hash = hash(("b", mode.value, body._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Box
-            and other._hash == self._hash
-            and other.mode is self.mode
-            and other.body == self.body
-        )
-
-    __hash__ = Formula.__hash__
+        self._modal("b", mode, body)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +189,18 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# Bounds the parser's recursion and the depth of the formulas it returns,
+# so that hostile input is refused before any recursive walk meets it.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, atoms: set[str] | None):
         self.text = text
         self.toks = _lex(text)
         self.pos = 0
         self.atoms = atoms
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -237,6 +221,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise FormulaError(f"trailing input {tok[1]!r} at position {tok[2]}")
+        if f.depth > MAX_DEPTH:
+            raise FormulaError(f"formula is deeper than {MAX_DEPTH} levels")
         return f
 
     def expr(self) -> Formula:
@@ -288,17 +274,21 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise FormulaError(f"unexpected end of input in {self.text!r}")
-        if tok[0] == "<":
-            self.take("<")
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise FormulaError(
+                f"formula nests deeper than {MAX_DEPTH} levels at position {tok[2]}"
+            )
+        if tok[0] in ("<", "["):
+            close, node = (">", Dia) if tok[0] == "<" else ("]", Box)
+            self.take()
             mode = self.mode()
-            self.take(">")
-            return Dia(mode, self.prefixed())
-        if tok[0] == "[":
-            self.take("[")
-            mode = self.mode()
-            self.take("]")
-            return Box(mode, self.prefixed())
-        return self.base()
+            self.take(close)
+            f = node(mode, self.prefixed())
+        else:
+            f = self.base()
+        self.nesting -= 1
+        return f
 
     def mode(self) -> Mode:
         kind, value, pos = self.take("ident")
@@ -324,6 +314,7 @@ def parse_formula(text: str, atoms: set[str] | None = None) -> Formula:
     """Parse concrete syntax into a Formula.
 
     When ``atoms`` is given, identifiers outside the set are rejected.
+    Formulas nesting deeper than ``MAX_DEPTH`` are rejected.
     """
     return _Parser(text, atoms).parse()
 
@@ -481,34 +472,33 @@ def iter_atoms(
     yield from walk(f, (), outer)
 
 
-_COUNT_CACHE: dict[Formula, dict[str, int]] = {}
+def _merge(a: dict[str, int], b: dict[str, int], sign: int) -> dict[str, int]:
+    out = dict(a)
+    for k, v in b.items():
+        n = out.get(k, 0) + sign * v
+        if n:
+            out[k] = n
+        else:
+            del out[k]
+    return out
 
 
 def count_vector(f: Formula) -> dict[str, int]:
-    """Signed occurrence count per atom (+1 positive, -1 negative)."""
-    cached = _COUNT_CACHE.get(f)
-    if cached is not None:
-        return cached
-    counts: dict[str, int] = {}
+    """Signed occurrence count per atom (+1 positive, -1 negative), without
+    zero entries.  Computed on first use and kept on the node."""
+    counts = f._counts
+    if counts is not None:
+        return counts
     match f:
         case Atom(name):
-            counts[name] = 1
+            counts = {name: 1}
         case Tensor(l, r):
-            counts.update(count_vector(l))
-            for k, v in count_vector(r).items():
-                counts[k] = counts.get(k, 0) + v
-        case Over(res, arg):
-            counts.update(count_vector(res))
-            for k, v in count_vector(arg).items():
-                counts[k] = counts.get(k, 0) - v
-        case Under(arg, res):
-            counts.update(count_vector(res))
-            for k, v in count_vector(arg).items():
-                counts[k] = counts.get(k, 0) - v
+            counts = _merge(count_vector(l), count_vector(r), 1)
+        case Over(res, arg) | Under(arg, res):
+            counts = _merge(count_vector(res), count_vector(arg), -1)
         case Dia(_, body) | Box(_, body):
-            counts.update(count_vector(body))
-    counts = {k: v for k, v in counts.items() if v != 0}
-    _COUNT_CACHE[f] = counts
+            counts = count_vector(body)
+    f._counts = counts
     return counts
 
 
@@ -516,15 +506,3 @@ def atom_count(f: Formula, atom: str, outer: Polarity = Polarity.POS) -> int:
     """Signed count of ``atom`` in ``f`` seen at the stated outer polarity."""
     n = count_vector(f).get(atom, 0)
     return n if outer is Polarity.POS else -n
-
-
-def size(f: Formula) -> int:
-    """Number of connective and atom nodes."""
-    match f:
-        case Atom(_):
-            return 1
-        case Tensor(l, r) | Over(l, r) | Under(l, r):
-            return 1 + size(l) + size(r)
-        case Dia(_, body) | Box(_, body):
-            return 1 + size(body)
-    raise TypeError(f"not a formula: {f!r}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .formula import (
-    Atom,
     Box,
     Dia,
     Formula,
@@ -36,7 +35,6 @@ from .formula import (
     parse_formula,
     print_formula,
     replace_at,
-    size,
 )
 
 
@@ -365,12 +363,10 @@ class SearchConfig:
 class SearchStats:
     goals_expanded: int = 0
     deepest_failure: Arrow | None = None
-    _deepest_size: int = 0
 
     def record_failure(self, lhs: Formula, rhs: Formula) -> None:
-        s = size(lhs)
-        if s > self._deepest_size:
-            self._deepest_size = s
+        """Keep the failed goal with the largest antecedent."""
+        if self.deepest_failure is None or lhs.size > self.deepest_failure.source.size:
             self.deepest_failure = Arrow(lhs, rhs)
 
 
@@ -383,17 +379,6 @@ class SearchResult:
     @property
     def ok(self) -> bool:
         return bool(self.proofs)
-
-
-def _depth(f: Formula) -> int:
-    match f:
-        case Atom(_):
-            return 1
-        case Tensor(l, r) | Over(l, r) | Under(l, r):
-            return 1 + max(_depth(l), _depth(r))
-        case Dia(_, b) | Box(_, b):
-            return 1 + _depth(b)
-    return 1
 
 
 def _strip(lhs: Formula, rhs: Formula):
@@ -620,7 +605,7 @@ class Prover:
         # structural moves, alpha before sigma
         cap = self.config.max_structural_per_dia
         if cap is None:
-            cap = 2 * _depth(lhs)
+            cap = 2 * lhs.depth
         if consec < cap:
             for rule in ("alpha", "sigma"):
                 for path, sub in positions:
@@ -845,6 +830,11 @@ def derive_sentence(
     :func:`parse_bracketing`-style tree (or its textual form); ``None``
     enumerates all binary bracketings, right-branching first, and also tries
     island brackets around constituents headed by a box-locked type.
+
+    With ``count_pruning`` on, a lexical assignment whose atom counts differ
+    from the goal's is skipped whole, since bracketings and island wraps do
+    not change the counts; its goal still counts as a failed one for the
+    diagnostics.
     """
     config = config or SearchConfig()
     if hasattr(lexicon, "types"):
@@ -853,10 +843,9 @@ def derive_sentence(
         lookup = lambda w: lexicon[w]
     choices: list[Sequence[Formula]] = []
     for w in words:
-        try:
-            entry_types = list(lookup(w))
-        except KeyError:
-            raise ProverError(f"word {w!r} is not in the lexicon") from None
+        if w not in lexicon:
+            raise ProverError(f"word {w!r} is not in the lexicon")
+        entry_types = list(lookup(w))
         if not entry_types:
             raise ProverError(f"word {w!r} has no types in the lexicon")
         choices.append(entry_types)
@@ -880,13 +869,22 @@ def derive_sentence(
     prover = Prover(config)
     parses: list[SentenceParse] = []
     bounded = False
+    failures = SearchStats()
     for assignment in itertools.product(*choices):
+        if config.count_pruning:
+            root = _antecedent(trees[0], assignment)
+            if count_vector(root) != count_vector(goal):
+                failures.record_failure(root, goal)
+                continue
         for tree in trees:
             candidates = [tree] if explicit else list(_wrap_choices(tree, assignment))
             for cand in candidates:
                 antecedent = _antecedent(cand, assignment)
                 result = prover.prove(Arrow(antecedent, goal))
                 bounded = bounded or result.bounded
+                deepest = result.stats.deepest_failure
+                if deepest is not None:
+                    failures.record_failure(deepest.source, deepest.target)
                 for proof in result.proofs:
                     parses.append(SentenceParse(cand, tuple(assignment), antecedent, proof))
                     if not config.find_all:
@@ -897,10 +895,9 @@ def derive_sentence(
                     return SentenceResult(tuple(parses), bounded, "derivable")
     if parses:
         return SentenceResult(tuple(parses), bounded, "derivable")
-    deepest = prover.stats.deepest_failure
     diag = "no bracketing succeeded"
-    if deepest is not None:
-        diag += f"; deepest failed subgoal: {deepest}"
+    if failures.deepest_failure is not None:
+        diag += f"; deepest failed subgoal: {failures.deepest_failure}"
     return SentenceResult((), bounded, diag)
 
 

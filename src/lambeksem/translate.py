@@ -17,7 +17,6 @@ Frobenius network per word, wired together along the linking.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -280,11 +279,6 @@ def interpret_proof(term: ProofTerm) -> Diagram:
 # -- axiom linkings
 
 
-@functools.lru_cache(maxsize=4096)
-def _n_atoms(f: Formula) -> int:
-    return sum(1 for _ in iter_atoms(f))
-
-
 def _straight(n: int) -> frozenset:
     return frozenset(frozenset((("s", i), ("t", i))) for i in range(n))
 
@@ -296,15 +290,15 @@ def _remap(links, fn) -> frozenset:
 def _term_links(term: ProofTerm) -> frozenset:
     match term.rule:
         case "id" | "ev_box" | "coev_box" | "alpha":
-            return _straight(_n_atoms(term.source))
+            return _straight(term.source.n_atoms)
         case "mon_dia" | "mon_box":
             return _term_links(term.children[0])
         case "compose":
             g, f = term.children
-            return _glue(_term_links(f), _term_links(g), _n_atoms(f.target))
+            return _glue(_term_links(f), _term_links(g), f.target.n_atoms)
         case "mon_tensor":
             f, g = term.children
-            ds, dt = _n_atoms(f.source), _n_atoms(f.target)
+            ds, dt = f.source.n_atoms, f.target.n_atoms
 
             def shift(tok):
                 side, i = tok
@@ -314,7 +308,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "mon_over":
             # f: A->B, g: C->D  gives  A/D -> B/C
             f, g = term.children
-            na, nb = _n_atoms(f.source), _n_atoms(f.target)
+            na, nb = f.source.n_atoms, f.target.n_atoms
 
             def turn(tok):
                 side, i = tok
@@ -328,7 +322,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "mon_under":
             # f: A->B, g: C->D  gives  B\C -> A\D
             f, g = term.children
-            na, nb = _n_atoms(f.source), _n_atoms(f.target)
+            na, nb = f.source.n_atoms, f.target.n_atoms
 
             def turn(tok):
                 side, i = tok
@@ -344,7 +338,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "ev_over":
             # (B/A) * A -> B
             a, b = term.params
-            na, nb = _n_atoms(a), _n_atoms(b)
+            na, nb = a.n_atoms, b.n_atoms
             links = {frozenset((("s", i), ("t", i))) for i in range(nb)}
             links |= {
                 frozenset((("s", nb + i), ("s", nb + na + i))) for i in range(na)
@@ -353,7 +347,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "ev_under":
             # A * (A\B) -> B
             a, b = term.params
-            na, nb = _n_atoms(a), _n_atoms(b)
+            na, nb = a.n_atoms, b.n_atoms
             links = {frozenset((("s", i), ("s", na + i))) for i in range(na)}
             links |= {
                 frozenset((("s", 2 * na + i), ("t", i))) for i in range(nb)
@@ -362,7 +356,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "coev_over":
             # B -> (B*A)/A
             a, b = term.params
-            na, nb = _n_atoms(a), _n_atoms(b)
+            na, nb = a.n_atoms, b.n_atoms
             links = {frozenset((("s", i), ("t", i))) for i in range(nb)}
             links |= {
                 frozenset((("t", nb + i), ("t", nb + na + i))) for i in range(na)
@@ -371,7 +365,7 @@ def _term_links(term: ProofTerm) -> frozenset:
         case "coev_under":
             # B -> A\(A*B)
             a, b = term.params
-            na, nb = _n_atoms(a), _n_atoms(b)
+            na, nb = a.n_atoms, b.n_atoms
             links = {frozenset((("t", i), ("t", na + i))) for i in range(na)}
             links |= {
                 frozenset((("s", i), ("t", 2 * na + i))) for i in range(nb)
@@ -379,7 +373,7 @@ def _term_links(term: ProofTerm) -> frozenset:
             return frozenset(links)
         case "sigma":
             a, b, c = term.params
-            na, nb, nc = _n_atoms(a), _n_atoms(b), _n_atoms(c)
+            na, nb, nc = a.n_atoms, b.n_atoms, c.n_atoms
             links = {frozenset((("s", i), ("t", i))) for i in range(na)}
             links |= {
                 frozenset((("s", na + i), ("t", na + nc + i))) for i in range(nb)
@@ -486,7 +480,7 @@ class AxiomLinking:
 
 
 def extract_axiom_links(term: ProofTerm) -> AxiomLinking:
-    ns = _n_atoms(term.source)
+    ns = term.source.n_atoms
     raw = _term_links(term)
     pairs = []
     seen: set[int] = set()
@@ -500,7 +494,7 @@ def extract_axiom_links(term: ProofTerm) -> AxiomLinking:
         a, b = sorted(idx)
         pairs.append((a, b))
         seen.update((a, b))
-    if seen != set(range(ns + _n_atoms(term.target))):
+    if seen != set(range(ns + term.target.n_atoms)):
         raise DiagramError("axiom linking is not a perfect matching")
     return AxiomLinking(term.source, term.target, tuple(sorted(pairs)))
 

@@ -81,6 +81,10 @@ def test_parse_bad_bracketing_exits_2(capsys):
 def test_bad_goal_exits_2(capsys):
     code, _, err = run(capsys, "parse", "Bob", "left", "--goal", "s/")
     assert code == 2
+    deep = "(" * 2000 + "s" + ")" * 2000
+    code, _, err = run(capsys, "parse", "Bob", "left", "--goal", deep)
+    assert code == 2
+    assert err.startswith("error:") and "deeper than" in err
 
 
 def test_batch(tmp_path, capsys):

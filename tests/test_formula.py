@@ -11,6 +11,7 @@ from lambeksem.formula import (
     Box,
     Dia,
     FormulaError,
+    MAX_DEPTH,
     Mode,
     Over,
     Polarity,
@@ -23,7 +24,6 @@ from lambeksem.formula import (
     polarity_at,
     print_formula,
     replace_at,
-    size,
     subformula_at,
 )
 from conftest import random_formula
@@ -33,19 +33,20 @@ def atoms_st():
     return st.sampled_from(["np", "n", "s", "gp", "pp", "x", "y"])
 
 
-formulas_st = st.deferred(
-    lambda: st.one_of(
-        atoms_st().map(Atom),
-        st.tuples(formulas_st, formulas_st).map(lambda p: Tensor(*p)),
-        st.tuples(formulas_st, formulas_st).map(lambda p: Over(*p)),
-        st.tuples(formulas_st, formulas_st).map(lambda p: Under(*p)),
-        st.tuples(st.sampled_from([Mode.X, Mode.I]), formulas_st).map(
-            lambda p: Dia(*p)
-        ),
-        st.tuples(st.sampled_from([Mode.X, Mode.I]), formulas_st).map(
-            lambda p: Box(*p)
-        ),
-    )
+modes_st = st.sampled_from([Mode.X, Mode.I])
+
+# max_leaves bounds the nesting of constructors; drawn formulas still
+# reach depth 10
+formulas_st = st.recursive(
+    atoms_st().map(Atom),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda p: Tensor(*p)),
+        st.tuples(sub, sub).map(lambda p: Over(*p)),
+        st.tuples(sub, sub).map(lambda p: Under(*p)),
+        st.tuples(modes_st, sub).map(lambda p: Dia(*p)),
+        st.tuples(modes_st, sub).map(lambda p: Box(*p)),
+    ),
+    max_leaves=10_000,
 )
 
 
@@ -91,6 +92,16 @@ def test_mixed_chains_rejected():
 def test_parse_errors():
     for text in ("", "np/", "(np", "<z>np", "np np"):
         with pytest.raises(FormulaError):
+            parse_formula(text)
+    # nesting is limited, so deep input is refused before any recursion
+    # runs out of stack
+    assert parse_formula("<x>" * (MAX_DEPTH - 1) + "np").depth == MAX_DEPTH
+    for text in (
+        "(" * 2000 + "np" + ")" * 2000,
+        "<x>" * MAX_DEPTH + "np",
+        "/".join(["np"] * (MAX_DEPTH + 1)),
+    ):
+        with pytest.raises(FormulaError, match="deeper than"):
             parse_formula(text)
 
 
@@ -160,16 +171,38 @@ def test_atom_count_fixtures():
     assert atom_count(that, "n", Polarity.POS) == 0
 
 
+def manual_nodes(f, leaf, combine):
+    """Fold ``combine(children's values)`` up from ``leaf`` at each atom."""
+    match f:
+        case Atom(_):
+            return leaf
+        case Tensor(l, r) | Over(l, r) | Under(l, r):
+            return combine(manual_nodes(l, leaf, combine),
+                           manual_nodes(r, leaf, combine))
+        case Dia(_, b) | Box(_, b):
+            return combine(manual_nodes(b, leaf, combine))
+    raise AssertionError(f)
+
+
 def test_atom_count_matches_manual_recursion():
     rng = random.Random(9)
     for _ in range(100):
         f = random_formula(rng)
+        assert f.n_atoms == manual_nodes(f, 1, lambda *kids: sum(kids))
         for a in {name for _, name, _ in iter_atoms(f)}:
             assert atom_count(f, a, Polarity.POS) == manual_count(f, a)
             assert count_vector(f).get(a, 0) == manual_count(f, a)
+        assert all(count_vector(f).values())
 
 
 def test_size():
-    assert size(Atom("np")) == 1
-    assert size(parse_formula("(np\\s)/np")) == 5
-    assert size(parse_formula("<x>[x]np")) == 3
+    assert Atom("np").size == 1
+    assert parse_formula("(np\\s)/np").size == 5
+    assert parse_formula("<x>[x]np").size == 3
+    assert parse_formula("<x>[x]np").depth == 3
+    assert parse_formula("(np\\s)/np").depth == 3
+    rng = random.Random(5)
+    for _ in range(100):
+        f = random_formula(rng)
+        assert f.size == manual_nodes(f, 1, lambda *kids: 1 + sum(kids))
+        assert f.depth == manual_nodes(f, 1, lambda *kids: 1 + max(kids))

@@ -189,6 +189,24 @@ def test_memoization_and_pruning_are_conservative():
             found += 1
             assert validate(r1.proofs[0]) == g
     assert found >= len(DERIVABLE)
+    # whole sentences at the default budget: count-failing, count-matching
+    # but underivable, and derivable
+    lex = builtin_lexicon()
+    fast = SearchConfig()
+    slow = SearchConfig(memoize=False, count_pruning=False)
+    sentences = [
+        ("left Bob", "s", False),
+        ("papers that Bob rejected", "s", False),
+        ("Bob Bob left", "s", False),
+        ("Bob rejected the proposal without reading", "s", False),
+        ("Bob left the room", "s", True),
+        ("papers that Bob rejected", "n", True),
+    ]
+    for text, goal, derivable in sentences:
+        r1 = derive_sentence(lex, text.split(), parse_formula(goal), config=fast)
+        r2 = derive_sentence(lex, text.split(), parse_formula(goal), config=slow)
+        assert (r1.ok, r1.bounded) == (r2.ok, r2.bounded), text
+        assert r1.ok == derivable and not r1.bounded, text
 
 
 def test_bounded_flag_on_tight_budget():
@@ -220,8 +238,16 @@ def test_derive_sentence_basics():
 
 def test_derive_sentence_rejects_unknown_word():
     lex = builtin_lexicon()
-    with pytest.raises(ProverError, match="flurbled"):
+    with pytest.raises(ProverError, match="'flurbled' is not in the lexicon"):
         derive_sentence(lex, ["Bob", "flurbled"], parse_formula("s"))
+
+
+def test_derive_sentence_names_deepest_failure():
+    # no candidate is expanded (every one fails the count check), yet the
+    # diagnostic still names the failed goal
+    r = derive_sentence(builtin_lexicon(), ["left", "Bob"], parse_formula("s"))
+    assert not r.ok
+    assert "deepest failed subgoal: (np\\s)/np*np -> s" in r.diagnostics
 
 
 def test_derive_sentence_word_cap_without_bracketing():
