@@ -2,8 +2,10 @@
 
 Subcommands: ``parse`` (derivability + proof), ``compile`` (diagram
 files), ``eval`` (tensor evaluation), ``derive-type`` (lexical type
-pipelines).  Exit codes: 0 success/derivable, 1 not derivable, 2 usage
-or input error.  All JSON reports carry ``"schema": "cli/1"``.
+pipelines).  Exit codes: 0 success/derivable, 1 not derivable (the
+search was exhausted), 2 usage or input error, 3 undecided (the search
+was cut off by its budget).  All JSON reports carry
+``"schema": "cli/1"``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,23 @@ CLOSED_FORMS = {
 
 class UsageError(Exception):
     pass
+
+
+# verdict of a sentence search -> exit code
+EXIT_CODES = {"derivable": 0, "not derivable": 1, "undecided": 3}
+
+
+def _verdict(result) -> str:
+    if result.ok:
+        return "derivable"
+    return "undecided" if result.bounded else "not derivable"
+
+
+def _failure(result) -> str:
+    """The one-line report of a search that found no parse."""
+    if result.bounded:
+        return f"undecided within budget: {result.diagnostics}"
+    return f"not derivable: {result.diagnostics}"
 
 
 def _load_lexicon(path: str | None) -> Lexicon:
@@ -89,6 +108,7 @@ def cmd_parse(args) -> int:
     if args.batch:
         return _run_batch(args, lexicon)
     result = _derive(args, lexicon)
+    verdict = _verdict(result)
     if not result.ok:
         if args.json:
             print(json.dumps({
@@ -96,12 +116,13 @@ def cmd_parse(args) -> int:
                 "words": list(args.words),
                 "goal": args.goal,
                 "derivable": False,
+                "verdict": verdict,
                 "bounded": result.bounded,
                 "diagnostics": result.diagnostics,
             }, indent=2))
         else:
-            print(f"not derivable: {result.diagnostics}")
-        return 1
+            print(_failure(result))
+        return EXIT_CODES[verdict]
     parse = result.parses[0]
     if args.json:
         print(json.dumps({
@@ -109,6 +130,7 @@ def cmd_parse(args) -> int:
             "words": list(args.words),
             "goal": args.goal,
             "derivable": True,
+            "verdict": verdict,
             "bracketing": format_bracketing(parse.bracketing, args.words),
             "types": [print_formula(t) for t in parse.types],
             "antecedent": print_formula(parse.antecedent),
@@ -133,6 +155,7 @@ def _batch_line(line: str, lexicon: Lexicon, max_size: int):
         "sentence": fields[0],
         "goal": print_formula(goal),
         "derivable": result.ok,
+        "verdict": _verdict(result),
         "bounded": result.bounded,
     }
 
@@ -145,18 +168,22 @@ def _run_batch(args, lexicon: Lexicon) -> int:
     if args.json:
         print(json.dumps({"schema": SCHEMA, "results": reports}, indent=2))
     else:
+        marks = {"derivable": "ok ", "not derivable": "NO ", "undecided": "?? "}
         for rep in reports:
-            mark = "ok " if rep["derivable"] else "NO "
-            print(f"{mark} {rep['sentence']}  ->  {rep['goal']}")
-    return 0 if all(r["derivable"] for r in reports) else 1
+            print(f"{marks[rep['verdict']]} {rep['sentence']}  ->  {rep['goal']}")
+    verdicts = {r["verdict"] for r in reports}
+    for verdict in ("not derivable", "undecided"):
+        if verdict in verdicts:
+            return EXIT_CODES[verdict]
+    return 0
 
 
 def cmd_compile(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     result, parse, diagram = _compile_first(args, lexicon)
     if diagram is None:
-        print(f"not derivable: {result.diagnostics}", file=sys.stderr)
-        return 1
+        print(_failure(result), file=sys.stderr)
+        return EXIT_CODES[_verdict(result)]
     normal = normalize(diagram)
     written = []
     for tag, d in (("initial", diagram), ("normalized", normal)):
@@ -185,8 +212,8 @@ def cmd_eval(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     result, parse, diagram = _compile_first(args, lexicon)
     if diagram is None:
-        print(f"not derivable: {result.diagnostics}", file=sys.stderr)
-        return 1
+        print(_failure(result), file=sys.stderr)
+        return EXIT_CODES[_verdict(result)]
     store = _store_from_args(args)
     value = eval_diagram(diagram, store)
     report = {

@@ -101,18 +101,21 @@ class Diagram:
     outputs: WireType
     nodes: tuple[Node, ...] = ()
     wires: tuple[tuple[Port, Port], ...] = ()
+    _by_id: dict[int, Node] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.nid)))
         object.__setattr__(self, "wires", tuple(sorted(self.wires)))
+        # the first of duplicate ids wins; validate refuses duplicates
+        object.__setattr__(self, "_by_id", {n.nid: n for n in reversed(self.nodes)})
 
     # -- queries
 
     def node(self, nid: int) -> Node:
-        for n in self.nodes:
-            if n.nid == nid:
-                return n
-        raise DiagramError(f"no node {nid}")
+        n = self._by_id.get(nid)
+        if n is None:
+            raise DiagramError(f"no node {nid}")
+        return n
 
     def port_space(self, port: Port) -> str:
         match port:

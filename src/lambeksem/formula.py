@@ -484,8 +484,10 @@ def _merge(a: dict[str, int], b: dict[str, int], sign: int) -> dict[str, int]:
 
 
 def count_vector(f: Formula) -> dict[str, int]:
-    """Signed occurrence count per atom (+1 positive, -1 negative), without
-    zero entries.  Computed on first use and kept on the node."""
+    """Signed occurrence count per atom (+1 positive, -1 negative), and per
+    mode the signed balance of diamonds (+1) against boxes (-1) under the
+    key ``<m>``, which no atom name can be; no zero entries.  Every rule of
+    the calculus preserves it.  Computed on first use and kept on the node."""
     counts = f._counts
     if counts is not None:
         return counts
@@ -496,8 +498,10 @@ def count_vector(f: Formula) -> dict[str, int]:
             counts = _merge(count_vector(l), count_vector(r), 1)
         case Over(res, arg) | Under(arg, res):
             counts = _merge(count_vector(res), count_vector(arg), -1)
-        case Dia(_, body) | Box(_, body):
-            counts = count_vector(body)
+        case Dia(mode, body):
+            counts = _merge(count_vector(body), {f"<{mode.value}>": 1}, 1)
+        case Box(mode, body):
+            counts = _merge(count_vector(body), {f"<{mode.value}>": 1}, -1)
     f._counts = counts
     return counts
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .formula import (
+    MAX_DEPTH,
     Box,
     Dia,
     Formula,
@@ -489,12 +490,16 @@ class Prover:
             # close by identity, and only by identity
             found.append((pid(lhs), 0))
         else:
-            for subgoals, build, new_consec in self._branches(lhs, rhs, consec):
+            # at budget 0 any branch, even a count-failing one, means a cut
+            prune = self.config.count_pruning and budget >= 1
+            for first, second, build, new_consec in self._branches(
+                lhs, rhs, consec, prune
+            ):
                 if budget < 1:
                     cut = True
                     break
                 sols, sub_cut = self._prove_list(
-                    subgoals, budget - 1, new_consec, limit - len(found)
+                    first, second, budget - 1, new_consec, limit - len(found)
                 )
                 cut = cut or sub_cut
                 for terms, total in sols:
@@ -519,49 +524,58 @@ class Prover:
                 self._success[key] = (term, size_)
         return [(_unstrip(t, steps), s) for t, s in found], cut
 
-    def _prove_list(self, goals, budget, consec, limit):
-        """Joint proofs of ``goals``: returns (solutions, cut) where each
+    def _prove_list(self, first, second, budget, consec, limit):
+        """Joint proofs of the goal ``first`` and, unless ``second`` is
+        None, of the goal that ``second()`` builds; it is called only once
+        ``first`` has a proof.  Returns (solutions, cut) where each
         solution is (terms tuple, total size).
 
         The structural-chain counter applies to the first goal only; the
-        rest are fresh antecedents.
+        second is a fresh antecedent.
         """
-        if not goals:
-            return [((), 0)], False
-        (l0, r0), rest = goals[0], goals[1:]
-        sols, cut = self._search(l0, r0, budget, consec)
+        sols, cut = self._search(first[0], first[1], budget, consec)
+        if second is None:
+            return [((term,), size_) for term, size_ in sols[:limit]], cut
         out: list[tuple[tuple[ProofTerm, ...], int]] = []
+        if not sols:
+            return out, cut
+        goal2 = second()
         for term, size_ in sols:
-            rest_sols, rcut = self._prove_list(
-                rest, budget - size_, 0, limit - len(out)
-            )
-            cut = cut or rcut
-            for terms, total in rest_sols:
-                out.append(((term,) + terms, size_ + total))
+            sols2, cut2 = self._search(goal2[0], goal2[1], budget - size_, 0)
+            cut = cut or cut2
+            for term2, size2 in sols2:
+                out.append(((term, term2), size_ + size2))
                 if len(out) >= limit:
                     return out, cut
         return out, cut
 
-    def _branches(self, lhs, rhs, consec):
-        """Enumerate (subgoals, build, consec') in the documented order:
-        direct monotonicity, applications, modal unlock, alpha, sigma.
-        Identity closure is handled before branching.
+    def _branches(self, lhs, rhs, consec, prune):
+        """Enumerate (first goal, second goal builder or None, build,
+        consec') in the documented order: direct monotonicity,
+        applications, modal unlock, alpha, sigma.  Identity closure is
+        handled before branching.
+
+        With ``prune``, a two-goal branch whose first goal fails the count
+        check is dropped before anything is built, since ``_search`` would
+        reject that goal at once; the second goal then always passes it.
         """
         # direct monotonicity on the (stripped) succedent
         if isinstance(rhs, Tensor) and isinstance(lhs, Tensor):
             a, b, c, d = lhs.left, lhs.right, rhs.left, rhs.right
-            yield (
-                [(a, c), (b, d)],
-                lambda ts: mon_tensor(ts[0], ts[1]),
-                0,
-            )
+            if not (prune and count_vector(a) != count_vector(c)):
+                yield (
+                    (a, c),
+                    lambda b=b, d=d: (b, d),
+                    lambda ts: mon_tensor(ts[0], ts[1]),
+                    0,
+                )
         if (
             isinstance(rhs, Dia)
             and isinstance(lhs, Dia)
             and lhs.mode is rhs.mode
         ):
             m, a, b = lhs.mode, lhs.body, rhs.body
-            yield [(a, b)], lambda ts, m=m: mon_dia(m, ts[0]), 0
+            yield (a, b), None, lambda ts, m=m: mon_dia(m, ts[0]), 0
         positions = list(_covariant_positions(lhs))
         # slash applications at any covariant product node
         for path, sub in positions:
@@ -570,24 +584,34 @@ class Prover:
             l, r = sub.left, sub.right
             if isinstance(l, Over):
                 res, arg = l.result, l.arg
-                rewritten = _replace_or_root(lhs, path, res)
+                if not (prune and count_vector(r) != count_vector(arg)):
 
-                def build_fwd(ts, path=path, l=l, res=res, arg=arg):
-                    g, rest = ts[0], ts[1]
-                    inner = compose_opt(ev_over(arg, res), mon_tensor_opt(pid(l), g))
-                    return compose_opt(rest, _lift(lhs, path, inner))
+                    def build_fwd(ts, path=path, l=l, res=res, arg=arg):
+                        g, rest = ts[0], ts[1]
+                        inner = compose_opt(ev_over(arg, res), mon_tensor_opt(pid(l), g))
+                        return compose_opt(rest, _lift(lhs, path, inner))
 
-                yield [(r, arg), (rewritten, rhs)], build_fwd, 0
+                    yield (
+                        (r, arg),
+                        lambda path=path, res=res: (_replace_or_root(lhs, path, res), rhs),
+                        build_fwd,
+                        0,
+                    )
             if isinstance(r, Under):
                 arg, res = r.arg, r.result
-                rewritten = _replace_or_root(lhs, path, res)
+                if not (prune and count_vector(l) != count_vector(arg)):
 
-                def build_bwd(ts, path=path, r=r, res=res, arg=arg):
-                    g, rest = ts[0], ts[1]
-                    inner = compose_opt(ev_under(arg, res), mon_tensor_opt(g, pid(r)))
-                    return compose_opt(rest, _lift(lhs, path, inner))
+                    def build_bwd(ts, path=path, r=r, res=res, arg=arg):
+                        g, rest = ts[0], ts[1]
+                        inner = compose_opt(ev_under(arg, res), mon_tensor_opt(g, pid(r)))
+                        return compose_opt(rest, _lift(lhs, path, inner))
 
-                yield [(l, arg), (rewritten, rhs)], build_bwd, 0
+                    yield (
+                        (l, arg),
+                        lambda path=path, res=res: (_replace_or_root(lhs, path, res), rhs),
+                        build_bwd,
+                        0,
+                    )
         # unlock a diamond-box pair
         for path, sub in positions:
             if (
@@ -601,7 +625,7 @@ class Prover:
                 def build_unlock(ts, path=path, m=sub.mode, a=inner_f):
                     return compose_opt(ts[0], _lift(lhs, path, ev_box(m, a)))
 
-                yield [(rewritten, rhs)], build_unlock, 0
+                yield (rewritten, rhs), None, build_unlock, 0
         # structural moves, alpha before sigma
         cap = self.config.max_structural_per_dia
         if cap is None:
@@ -623,7 +647,7 @@ class Prover:
                     def build_struct(ts, path=path, inner=inner):
                         return compose_opt(ts[0], _lift(lhs, path, inner))
 
-                    yield [(rewritten, rhs)], build_struct, consec + 1
+                    yield (rewritten, rhs), None, build_struct, consec + 1
 
 
 def _replace_or_root(whole: Formula, path: Path, new: Formula) -> Formula:
@@ -674,7 +698,8 @@ def format_bracketing(tree, words: Sequence[str]) -> str:
 
 
 def parse_bracketing(text: str, words: Sequence[str]):
-    """Parse ``(w1 (w2 w3))`` style bracketings; ``i:(...)`` marks an island."""
+    """Parse ``(w1 (w2 w3))`` style bracketings; ``i:(...)`` marks an island.
+    Nesting deeper than ``MAX_DEPTH`` is refused, as for formulas."""
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
     next_word = 0
@@ -684,8 +709,12 @@ def parse_bracketing(text: str, words: Sequence[str]):
             raise ProverError(f"bracketing {text!r} ends unexpectedly")
         return toks[pos]
 
-    def node():
+    def node(depth: int):
         nonlocal pos, next_word
+        if depth > MAX_DEPTH:
+            raise ProverError(
+                f"bracketing nests deeper than {MAX_DEPTH} levels"
+            )
         wrap = False
         tok = peek()
         if tok == "i:":
@@ -698,8 +727,8 @@ def parse_bracketing(text: str, words: Sequence[str]):
             tok = toks[pos]
         if tok == "(":
             pos += 1
-            left = node()
-            right = node()
+            left = node(depth + 1)
+            right = node(depth + 1)
             if peek() != ")":
                 raise ProverError(f"expected ')' in bracketing {text!r}")
             pos += 1
@@ -714,7 +743,7 @@ def parse_bracketing(text: str, words: Sequence[str]):
         next_word += 1
         return BracketLeaf(idx, wrap)
 
-    tree = node()
+    tree = node(1)
     if pos != len(toks) or next_word != len(words):
         raise ProverError(f"bracketing {text!r} does not cover the sentence")
     return tree
@@ -773,14 +802,11 @@ def _subtrees(tree) -> Iterator:
         yield from _subtrees(tree.right)
 
 
-def _wrap_choices(tree, types: Sequence[Formula]) -> Iterator:
-    """The tree unchanged, plus one island wrap over any constituent whose
-    leftmost word carries a box-locked type.  At most one wrap per locked
-    word is ever useful for the constructions covered here."""
-    yield tree
-    locked_leaves = {i for i, t in enumerate(types) if _locked(t)}
-    if not locked_leaves:
-        return
+def _island_wraps(tree, locked_leaves: set[int]) -> Iterator:
+    """The tree with one island wrap over a constituent whose leftmost
+    word carries a box-locked type, for each such constituent.  At most
+    one wrap per locked word is ever useful for the constructions covered
+    here."""
     for sub in _subtrees(tree):
         if _leftmost_leaf(sub) in locked_leaves:
             yield _with_wrap(tree, sub)
@@ -831,9 +857,12 @@ def derive_sentence(
     enumerates all binary bracketings, right-branching first, and also tries
     island brackets around constituents headed by a box-locked type.
 
-    With ``count_pruning`` on, a lexical assignment whose atom counts differ
-    from the goal's is skipped whole, since bracketings and island wraps do
-    not change the counts; its goal still counts as a failed one for the
+    With ``count_pruning`` on, the counts of each lexical assignment are
+    compared with the goal's once.  Bracketings do not change them and the
+    single island wrap adds one ``<i>`` diamond, so the candidates without
+    a wrap and those with one form two classes, each skipped whole when its
+    counts differ (an explicit bracketing is one class).  When both are
+    skipped, the assignment's goal still counts as a failed one for the
     diagnostics.
     """
     config = config or SearchConfig()
@@ -871,13 +900,21 @@ def derive_sentence(
     bounded = False
     failures = SearchStats()
     for assignment in itertools.product(*choices):
+        locked = set() if explicit else {
+            i for i, t in enumerate(assignment) if _locked(t)
+        }
+        bare, wrapped = True, bool(locked)
         if config.count_pruning:
             root = _antecedent(trees[0], assignment)
-            if count_vector(root) != count_vector(goal):
+            bare = count_vector(root) == count_vector(goal)
+            wrapped = wrapped and count_vector(Dia(Mode.I, root)) == count_vector(goal)
+            if not (bare or wrapped):
                 failures.record_failure(root, goal)
                 continue
         for tree in trees:
-            candidates = [tree] if explicit else list(_wrap_choices(tree, assignment))
+            candidates = [tree] if bare else []
+            if wrapped:
+                candidates.extend(_island_wraps(tree, locked))
             for cand in candidates:
                 antecedent = _antecedent(cand, assignment)
                 result = prover.prove(Arrow(antecedent, goal))

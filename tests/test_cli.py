@@ -29,6 +29,32 @@ def test_parse_not_derivable_exits_1(capsys):
     assert code == 1
 
 
+def test_parse_undecided_exits_3(capsys):
+    # a budget too small for the proof cuts the search off: undecided, not
+    # "not derivable"; the default budget finds the proof
+    argv = ("parse", "papers", "that", "Bob", "rejected", "--goal", "n")
+    code, out, _ = run(capsys, *argv, "--max-size", "3")
+    assert code == 3
+    assert out.startswith("undecided within budget: ")
+    code, out, _ = run(capsys, *argv, "--max-size", "3", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["schema"] == "cli/1"
+    assert (doc["verdict"], doc["derivable"], doc["bounded"]) == ("undecided", False, True)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+def test_compile_and_eval_undecided_exit_3(tmp_path, capsys):
+    words = ("papers", "that", "Bob", "rejected", "--goal", "n", "--max-size", "3")
+    code, _, err = run(capsys, "compile", *words, "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("undecided within budget: ")
+    code, _, err = run(capsys, "eval", *words)
+    assert code == 3
+    assert err.startswith("undecided within budget: ")
+
+
 def test_parse_unknown_word_exits_2(capsys):
     code, _, err = run(capsys, "parse", "Bob", "flurbled")
     assert code == 2
@@ -57,6 +83,7 @@ def test_parse_json_negative(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["derivable"] is False
+    assert doc["verdict"] == "not derivable"
     assert doc["schema"] == "cli/1"
 
 
@@ -87,6 +114,17 @@ def test_bad_goal_exits_2(capsys):
     assert err.startswith("error:") and "deeper than" in err
 
 
+def test_deep_bracketing_exits_2(capsys):
+    # 600 words right-branching nest deeper than any formula may
+    words = ["Bob"] * 600
+    text = "Bob"
+    for _ in words[1:]:
+        text = f"(Bob {text})"
+    code, _, err = run(capsys, "parse", *words, "--bracketing", text)
+    assert code == 2
+    assert err.startswith("error:") and "deeper than" in err
+
+
 def test_batch(tmp_path, capsys):
     batch = tmp_path / "sentences.txt"
     batch.write_text(
@@ -102,6 +140,7 @@ def test_batch(tmp_path, capsys):
     assert doc["schema"] == "cli/1"
     assert len(doc["results"]) == 3
     assert all(r["derivable"] for r in doc["results"])
+    assert all(r["verdict"] == "derivable" for r in doc["results"])
 
 
 def test_batch_with_failure_exits_1(tmp_path, capsys):
@@ -114,6 +153,25 @@ def test_batch_with_failure_exits_1(tmp_path, capsys):
     doc = json.loads(out)
     verdicts = [r["derivable"] for r in doc["results"]]
     assert verdicts == [True, False]
+
+
+def test_batch_undecided_marks_and_exit_codes(tmp_path, capsys):
+    undecided = "papers that Bob rejected :: n\n"
+    batch = tmp_path / "sentences.txt"
+    batch.write_text("Bob left the room\n" + undecided)
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--max-size", "3", "x")
+    assert code == 3
+    assert out.splitlines() == [
+        "ok  Bob left the room  ->  s",
+        "??  papers that Bob rejected  ->  n",
+    ]
+    # a line that is not derivable outranks an undecided one
+    batch.write_text(undecided + "papers that Bob rejected the proposal :: n\n")
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--max-size", "3",
+                       "--json", "x")
+    assert code == 1
+    doc = json.loads(out)
+    assert [r["verdict"] for r in doc["results"]] == ["undecided", "not derivable"]
 
 
 def test_compile_writes_files(tmp_path, capsys):

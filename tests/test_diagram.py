@@ -222,6 +222,17 @@ def test_validate_catches_corruption():
         broken.validate()
 
 
+def test_node_and_port_space_lookups(rng):
+    for _ in range(20):
+        d = random_diagram(rng)
+        for n in d.nodes:
+            assert d.node(n.nid) is n
+        for src, dst in d.wires:
+            assert d.port_space(src) == d.port_space(dst)
+    with pytest.raises(DiagramError, match="no node 99"):
+        d.node(99)
+
+
 def test_permutation_round_trip(store):
     wt = (N, S, Nd)
     perm = (2, 0, 1)

@@ -158,6 +158,23 @@ def manual_count(f, atom, sign=1):
     raise AssertionError(f)
 
 
+def manual_modal_count(f, mode, sign=1):
+    """Diamonds of ``mode`` count +1 and boxes -1, at their polarity."""
+    match f:
+        case Atom(_):
+            return 0
+        case Tensor(l, r):
+            return manual_modal_count(l, mode, sign) + manual_modal_count(r, mode, sign)
+        case Over(res, arg) | Under(arg, res):
+            return (manual_modal_count(res, mode, sign)
+                    + manual_modal_count(arg, mode, -sign))
+        case Dia(m, b):
+            return (sign if m is mode else 0) + manual_modal_count(b, mode, sign)
+        case Box(m, b):
+            return (-sign if m is mode else 0) + manual_modal_count(b, mode, sign)
+    raise AssertionError(f)
+
+
 def test_atom_count_fixtures():
     tv = parse_formula("(np\\s)/np")
     assert atom_count(parse_formula("np"), "np", Polarity.POS) == 1
@@ -169,6 +186,11 @@ def test_atom_count_fixtures():
     that = parse_formula("(n\\n)/(s/<x>[x]np)")
     assert atom_count(that, "np", Polarity.POS) == 1
     assert atom_count(that, "n", Polarity.POS) == 0
+    # the gap's diamond and box cancel; an island-locked head is one box down
+    assert count_vector(that) == {"np": 1, "s": -1}
+    assert count_vector(parse_formula("[i](np\\s)/gp")) == {
+        "<i>": -1, "np": -1, "s": 1, "gp": -1,
+    }
 
 
 def manual_nodes(f, leaf, combine):
@@ -192,6 +214,9 @@ def test_atom_count_matches_manual_recursion():
         for a in {name for _, name, _ in iter_atoms(f)}:
             assert atom_count(f, a, Polarity.POS) == manual_count(f, a)
             assert count_vector(f).get(a, 0) == manual_count(f, a)
+        for mode in Mode:
+            key = f"<{mode.value}>"
+            assert count_vector(f).get(key, 0) == manual_modal_count(f, mode)
         assert all(count_vector(f).values())
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lambeksem.formula import parse_formula, print_formula
+from lambeksem.formula import count_vector, parse_formula, print_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,
@@ -15,13 +15,18 @@ from lambeksem.prover import (
     alpha,
     coev_box,
     coev_over,
+    coev_under,
     compose,
     derive_sentence,
     ev_box,
     ev_over,
     ev_under,
     format_bracketing,
+    mon_box,
+    mon_dia,
     mon_over,
+    mon_tensor,
+    mon_under,
     parse_bracketing,
     pid,
     proof_from_dict,
@@ -107,6 +112,26 @@ def test_validate_accepts_primitives():
     for term, src, tgt in cases:
         got = validate(term)
         assert got == arrow(src, tgt)
+
+
+def test_every_rule_preserves_counts():
+    # the invariant behind count pruning: each constructor's source and
+    # target have the same atom and modal counts
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b, c = (random_formula(rng, depth=3) for _ in range(3))
+        mode = rng.choice((Mode.X, Mode.I))
+        prims = [
+            ev_over(a, b), coev_over(a, b), ev_under(a, b), coev_under(a, b),
+            ev_box(mode, a), coev_box(mode, a), alpha(a, b, c), sigma(a, b, c),
+        ]
+        f, g = rng.choice(prims), rng.choice(prims)
+        terms = prims + [
+            mon_tensor(f, g), mon_over(f, g), mon_under(f, g),
+            mon_dia(mode, f), mon_box(mode, f), compose(f, pid(f.source)),
+        ]
+        for t in terms:
+            assert count_vector(t.source) == count_vector(t.target), t
 
 
 def test_compose_and_monotone():
@@ -207,12 +232,35 @@ def test_memoization_and_pruning_are_conservative():
         r2 = derive_sentence(lex, text.split(), parse_formula(goal), config=slow)
         assert (r1.ok, r1.bounded) == (r2.ok, r2.bounded), text
         assert r1.ok == derivable and not r1.bounded, text
+    # an island-locked word, whose modal counts drop the candidates without
+    # a wrap: derivable only with a wrap, and a gap only inside the island
+    # (compared with the memoized unpruned search; without memoization it
+    # runs for over a minute)
+    text = "papers that Bob rejected without reading".split()
+    r1 = derive_sentence(lex, text, parse_formula("n"), config=fast)
+    r2 = derive_sentence(lex, text, parse_formula("n"), config=slow)
+    assert r1.ok and r2.ok and not r1.bounded and not r2.bounded
+    assert format_bracketing(r1.parses[0].bracketing, text) == format_bracketing(
+        r2.parses[0].bracketing, text
+    ) == "(papers (that (Bob (rejected i:(without reading)))))"
+    text = "papers that Bob left Bob without reading".split()
+    r1 = derive_sentence(lex, text, parse_formula("n"), config=fast)
+    r2 = derive_sentence(lex, text, parse_formula("n"),
+                         config=SearchConfig(count_pruning=False))
+    assert not r1.ok and not r2.ok and not r1.bounded and not r2.bounded
 
 
 def test_bounded_flag_on_tight_budget():
     g = arrow("a/b", "(a/<x>[x]c)/(b/<x>[x]c)")
     r = prove(g, SearchConfig(max_proof_size=2))
     assert not r.proofs and r.bounded
+    # with no budget left, a goal is cut off even when every branch it has
+    # would fail the count check; with budget, the search is exhausted
+    g = arrow("((a/b)*c)*(c\\b)", "a")
+    r = prove(g, SearchConfig(max_proof_size=0))
+    assert not r.proofs and r.bounded
+    r = prove(g)
+    assert not r.proofs and not r.bounded
 
 
 def test_bracketing_round_trip():
