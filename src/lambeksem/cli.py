@@ -252,7 +252,7 @@ def cmd_eval(args) -> int:
 
 def cmd_derive_type(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
-    entries = lexicon._by_word.get(args.word, [])
+    entries = [e for e in lexicon.entries if e.word == args.word]
     if not entries:
         raise UsageError(f"word {args.word!r} is not in the lexicon")
     base = entries[0].syn
@@ -269,6 +269,7 @@ def cmd_derive_type(args) -> int:
     if args.json:
         print(json.dumps({
             "schema": SCHEMA, "word": args.word, "steps": steps, "rows": printed,
+            "postulate": [arrow is None for _, arrow in rows],
         }, indent=2))
     else:
         for row in printed:
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--json", action="store_true")
     e.set_defaults(func=cmd_eval)
 
-    d = sub.add_parser("derive-type", help="print a lexical type-shift pipeline")
+    d = sub.add_parser("derive-type", help="print a checked lexical type-shift pipeline")
     d.add_argument("word")
     d.add_argument("--steps", help="step list, e.g. 'geach(<x>[x]np);distribute'")
     d.add_argument("--lexicon")

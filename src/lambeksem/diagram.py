@@ -415,20 +415,6 @@ def tensor_par(d1: Diagram, d2: Diagram) -> Diagram:
     )
 
 
-def compose_many(*ds: Diagram) -> Diagram:
-    out = ds[0]
-    for d in ds[1:]:
-        out = compose(out, d)
-    return out
-
-
-def tensor_many(*ds: Diagram) -> Diagram:
-    out = ds[0]
-    for d in ds[1:]:
-        out = tensor_par(out, d)
-    return out
-
-
 # -- normalization
 #
 # Spiders, cups, caps and swaps only say which wire ends carry the same

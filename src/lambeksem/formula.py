@@ -452,24 +452,20 @@ def iter_atoms(
     f: Formula, outer: Polarity = Polarity.POS
 ) -> Iterator[tuple[Path, str, Polarity]]:
     """Yield (path, atom name, polarity) in preorder (= printed order)."""
-
-    def walk(g: Formula, path: Path, pol: Polarity):
+    stack = [((), f, outer)]
+    while stack:
+        path, g, pol = stack.pop()
         match g:
             case Atom(name):
                 yield path, name, pol
             case Tensor(l, r):
-                yield from walk(l, path + ("L",), pol)
-                yield from walk(r, path + ("R",), pol)
+                stack += [(path + ("R",), r, pol), (path + ("L",), l, pol)]
             case Over(res, arg):
-                yield from walk(res, path + ("L",), pol)
-                yield from walk(arg, path + ("R",), pol.flip())
+                stack += [(path + ("R",), arg, pol.flip()), (path + ("L",), res, pol)]
             case Under(arg, res):
-                yield from walk(arg, path + ("L",), pol.flip())
-                yield from walk(res, path + ("R",), pol)
+                stack += [(path + ("R",), res, pol), (path + ("L",), arg, pol.flip())]
             case Dia(_, body) | Box(_, body):
-                yield from walk(body, path + ("B",), pol)
-
-    yield from walk(f, (), outer)
+                stack.append((path + ("B",), body, pol))
 
 
 def _merge(a: dict[str, int], b: dict[str, int], sign: int) -> dict[str, int]:

@@ -345,17 +345,16 @@ class SearchConfig:
 
     ``max_proof_size`` counts non-invertible steps (applications,
     monotonicity splits, modal unlocks, structural moves); identities and
-    residuation bookkeeping are free.  ``max_structural_per_dia`` caps
-    chains of consecutive structural moves on one goal line, which bounds
-    the churn any single diamond hypothesis can cause; ``None`` means twice
-    the antecedent tree depth of the goal at hand.  Disabling ``memoize``
-    or ``count_pruning`` is only useful for conservativity tests.
+    residuation bookkeeping are free.  Chains of consecutive structural
+    moves on one goal line are capped at twice the antecedent tree depth
+    of the goal at hand, which bounds the churn any single diamond
+    hypothesis can cause.  Disabling ``memoize`` or ``count_pruning`` is
+    only useful for conservativity tests.
     """
 
     max_proof_size: int = 40
     find_all: bool = False
     max_proofs: int = 64
-    max_structural_per_dia: int | None = None
     memoize: bool = True
     count_pruning: bool = True
 
@@ -627,10 +626,7 @@ class Prover:
 
                 yield (rewritten, rhs), None, build_unlock, 0
         # structural moves, alpha before sigma
-        cap = self.config.max_structural_per_dia
-        if cap is None:
-            cap = 2 * lhs.depth
-        if consec < cap:
+        if consec < 2 * lhs.depth:
             for rule in ("alpha", "sigma"):
                 for path, sub in positions:
                     if not (

@@ -30,7 +30,9 @@ class TensorError(ValueError):
 
 
 @dataclass
-class Tensor:
+class TensorValue:
+    """An array with one named space per axis."""
+
     spaces: tuple[str, ...]
     array: np.ndarray
 
@@ -57,7 +59,7 @@ class TensorStore:
         self.dims = dict(dims)
         self.seed = int(seed)
         self.generate = bool(generate)
-        self.tensors: dict[str, Tensor] = {}
+        self.tensors: dict[str, TensorValue] = {}
         for name, t in (tensors or {}).items():
             self.set(name, t.spaces, t.array)
 
@@ -71,7 +73,7 @@ class TensorStore:
         return tuple(self.dim(s) for s in spaces)
 
     def set(self, name: str, spaces, array) -> None:
-        t = Tensor(tuple(spaces), array)
+        t = TensorValue(tuple(spaces), array)
         if t.array.shape != self.shape(t.spaces):
             raise TensorError(
                 f"tensor {name!r}: shape {t.array.shape} does not match "
@@ -136,7 +138,7 @@ class TensorStore:
 # -- einsum evaluation
 
 
-def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
+def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
     """Contract ``d`` against ``store``.
 
     The result covers the boundary, inputs first then outputs, with dual
@@ -145,7 +147,7 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
     d.validate()
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
     if not d.wires:
-        return Tensor(out_spaces, np.array(1.0))
+        return TensorValue(out_spaces, np.array(1.0))
     port_class, spaces = index_classes(d)
     boundary_ports = [("I", k) for k in range(len(d.inputs))]
     boundary_ports += [("O", k) for k in range(len(d.outputs))]
@@ -188,7 +190,7 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
             scalar *= store.dim(space)
 
     if not operands:
-        return Tensor(out_spaces, np.array(scalar))
+        return TensorValue(out_spaces, np.array(scalar))
     labels = sorted({c for _, idx in operands for c in idx})
     if len(labels) > 52:
         raise TensorError("diagram needs more than 52 einsum indices")
@@ -199,7 +201,7 @@ def eval_diagram(d: Diagram, store: TensorStore) -> Tensor:
         args.append([dense[c] for c in idx])
     args.append([dense[c] for c in out_idx])
     value = np.einsum(*args, optimize="greedy") * scalar
-    return Tensor(out_spaces, value)
+    return TensorValue(out_spaces, value)
 
 
 # -- brute-force oracle
@@ -232,7 +234,7 @@ def _node_tensor(n, store: TensorStore) -> np.ndarray:
     raise DiagramError(f"unknown node kind {n.kind!r}")
 
 
-def oracle_eval(d: Diagram, store: TensorStore, budget: int = 10**8) -> Tensor:
+def oracle_eval(d: Diagram, store: TensorStore, budget: int = 10**8) -> TensorValue:
     """Sum over every assignment of basis indices to wires.
 
     Exponential in the wire count; refuses to start above ``budget``
@@ -276,13 +278,13 @@ def oracle_eval(d: Diagram, store: TensorStore, budget: int = 10**8) -> Tensor:
             rec(pos + 1)
 
     rec(0)
-    return Tensor(out_spaces, result if out_spaces else np.array(result[()]))
+    return TensorValue(out_spaces, result if out_spaces else np.array(result[()]))
 
 
 def closed_form_1d(
     store: TensorStore,
     names: tuple[str, str, str, str] = ("papers", "Bob", "rejected", "reading"),
-) -> Tensor:
+) -> TensorValue:
     """Gapped relative clause meaning, written out with plain loops.
 
     For a head noun, a subject, a transitive verb cube and an adjunct
@@ -308,4 +310,4 @@ def closed_form_1d(
             for sub in range(n_dim):
                 acc += subj[sub] * verb[sub, s, obj] * ger[sub, s, obj]
         out[obj] = head[obj] * acc
-    return Tensor(("N",), out)
+    return TensorValue(("N",), out)

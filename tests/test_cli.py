@@ -337,6 +337,26 @@ def test_derive_type_json(capsys):
         "(n\\n)/((s/to_inf)/<x>[x]np*to_inf/<x>[x]np)",
         "(n\\n)/((s/<x>[x]to_inf)/<x>[x]np*to_inf/<x>[x]np)",
     ]
+    # expansion and the modal step are proven, distribution is a postulate
+    assert doc["postulate"] == [False, True, False]
+
+
+def test_derive_type_reads_a_lexicon_file(tmp_path, capsys):
+    lex = tmp_path / "small.lex"
+    lex.write_text(
+        "# a word with a base and a derived type\n"
+        "near :: [i](iv\\iv)/gp :: sem=coord_adjunct\n"
+        "near :: [i]((iv/<x>[x]np)\\(iv/np))/(gp/<x>[x]np) "
+        ":: sem=coord_adjunct_gap :: derived-from=near "
+        "steps=geach(<x>[x]np);distribute;drop_modal(np,1)\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "derive-type", "near", "--lexicon", str(lex))
+    assert code == 0
+    assert out.splitlines()[-1] == "[i](((np\\s)/<x>[x]np)\\((np\\s)/np))/gp/<x>[x]np"
+    code, _, err = run(capsys, "derive-type", "far", "--lexicon", str(lex))
+    assert code == 2
+    assert "'far' is not in the lexicon" in err
 
 
 def test_derive_type_without_steps_exits_2(capsys):
@@ -349,3 +369,11 @@ def test_derive_type_bad_steps_exits_2(capsys):
         capsys, "derive-type", "that", "--steps", "frobnicate(np)"
     )
     assert code == 2
+    # a step whose arrow has no proof is refused, not printed
+    code, out, err = run(
+        capsys, "derive-type", "rejected", "--steps", "geach(np)"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: step geach(np): arrow ")
+    assert "(np\\s)/np -> ((np\\s)/np)/np/np is not derivable" in err

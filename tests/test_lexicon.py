@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from lambeksem.diagram import box
-from lambeksem.formula import Mode, parse_formula, print_formula
+from lambeksem import lexicon as lexicon_module
+from lambeksem.formula import parse_formula, print_formula
 from lambeksem.lexicon import (
     LexiconError,
     Lexicon,
     builtin_lexicon,
-    calibrate,
     conjoin_states,
-    geach_expand,
     is_conjoinable,
     parse_steps,
-    prod_distribute,
-    product_expand,
     run_pipeline,
-    s_distribute,
 )
+from lambeksem.prover import Arrow, SearchConfig, prove
 from lambeksem.translate import interpret_type
 from lambeksem.tensor import TensorStore, eval_diagram
 
@@ -26,50 +23,97 @@ F = parse_formula
 P = print_formula
 
 
-# -- pointwise rewriting operators
+# -- single steps, each run and checked by the pipeline
+
+
+def last_row(f, steps):
+    rows = run_pipeline(F(f), steps)
+    return P(rows[-1][0]), rows[-1][1]
 
 
 def test_geach_expand():
-    out = geach_expand(F("a/b"), (), F("<x>[x]c"))
-    assert P(out) == "(a/<x>[x]c)/b/<x>[x]c"
-    nested = geach_expand(F("x\\(a/b)"), ("R",), F("<x>[x]c"))
-    assert P(nested) == "x\\((a/<x>[x]c)/b/<x>[x]c)"
-    with pytest.raises(LexiconError):
-        geach_expand(F("a*b"), (), F("c"))
+    out, arrow = last_row("a/b", "geach(<x>[x]c)")
+    assert out == "(a/<x>[x]c)/b/<x>[x]c"
+    assert arrow == Arrow(F("a/b"), F(out))
+    with pytest.raises(LexiconError, match="slash type"):
+        run_pipeline(F("a*b"), "geach(c)")
 
 
 def test_s_distribute():
-    assert P(s_distribute(F("(a\\b)/c"), ())) == "(a/c)\\(b/c)"
-    boxed = s_distribute(F("[i](a\\b)/c"), ())
-    assert P(boxed) == "[i]((a/c)\\(b/c))"
-    with pytest.raises(LexiconError):
-        s_distribute(F("(a/b)/c"), ())
+    # a boxed adjunct under a slash, the box carried along
+    assert last_row("[i](a\\b)/c", "distribute") == ("[i]((a/c)\\(b/c))", None)
+    with pytest.raises(LexiconError, match="distribute wants"):
+        run_pipeline(F("(a/b)/c"), "distribute")
 
 
 def test_prod_distribute_needs_antitone_position():
-    out = prod_distribute(F("x/((a*b)/c)"), ("R",))
-    assert P(out) == "x/(a/c*b/c)"
-    with pytest.raises(LexiconError):
-        prod_distribute(F("(a*b)/c"), ())
+    assert last_row("x/((a*b)/c)", "distribute") == ("x/(a/c*b/c)", None)
+    with pytest.raises(LexiconError, match="antitone"):
+        run_pipeline(F("(a*b)/c"), "distribute")
 
 
 def test_product_expand_checks_the_witness():
-    out = product_expand(F("x/s"), ("R",), F("np*(np\\s)"))
-    assert P(out) == "x/(np*np\\s)"
-    with pytest.raises(LexiconError, match="not derivable"):
-        product_expand(F("x/s"), ("R",), F("np*np"))
+    # the witness is the lifted arrow, which the pipeline proves
+    out, arrow = last_row("x/s", "expand(s,np*(np\\s))")
+    assert out == "x/(np*np\\s)"
+    assert arrow == Arrow(F("x/s"), F(out))
     with pytest.raises(LexiconError, match="antitone"):
-        product_expand(F("s"), (), F("np*(np\\s)"))
+        run_pipeline(F("s"), "expand(s,np*(np\\s))")
+    with pytest.raises(LexiconError, match="exactly one"):
+        run_pipeline(F("s/s"), "expand(s,np*(np\\s))")
+    # np*np -> s has no proof, so neither has the lifted arrow
+    with pytest.raises(
+        LexiconError,
+        match=r"step expand\(s,np\*np\): arrow x/s -> x/\(np\*np\) is not derivable",
+    ):
+        run_pipeline(F("x/s"), "expand(s,np*np)")
 
 
 def test_calibrate():
-    assert P(calibrate(F("a/<x>[x]np"), ("R",), "drop")) == "a/np"
-    assert P(calibrate(F("a/np"), ("R",), ("add", "x"))) == "a/<x>[x]np"
-    assert P(calibrate(F("a/np"), ("R",), ("add", Mode.X))) == "a/<x>[x]np"
-    with pytest.raises(LexiconError):
-        calibrate(F("a/np"), ("R",), "drop")
-    with pytest.raises(LexiconError):
-        calibrate(F("a/np"), ("R",), "sideways")
+    out, arrow = last_row("a/<x>[x]np", "drop_modal(np,0)")
+    assert out == "a/np"
+    assert arrow == Arrow(F("a/np"), F("a/<x>[x]np"))
+    out, arrow = last_row("a/np", "add_modal(np,0)")
+    assert out == "a/<x>[x]np"
+    assert arrow == Arrow(F("a/np"), F("a/<x>[x]np"))
+    # at a monotone position the arrows point the other way
+    assert last_row("<x>[x]np", "drop_modal(np,0)") == (
+        "np", Arrow(F("<x>[x]np"), F("np")))
+    # no modal pair to drop
+    with pytest.raises(LexiconError, match="0 decorated 'np'"):
+        run_pipeline(F("a/np"), "drop_modal(np,0)")
+    with pytest.raises(LexiconError, match="1 'np' atoms; no number 1"):
+        run_pipeline(F("a/np"), "add_modal(np,1)")
+    with pytest.raises(LexiconError, match="no number -1"):
+        run_pipeline(F("a/np"), "add_modal(np,-1)")
+
+
+def test_pipeline_names_an_undecided_step(monkeypatch):
+    # a search cut off by its budget is not reported as "not derivable"
+    monkeypatch.setattr(lexicon_module, "_CHECK_CONFIG", SearchConfig(max_proof_size=0))
+    with pytest.raises(LexiconError, match=r"step geach.* is undecided within budget"):
+        run_pipeline(F("a/b"), "geach(<x>[x]np)")
+
+
+def test_load_proves_every_step_arrow_once(monkeypatch):
+    proven = []
+
+    def recording_prove(arrow, config=None):
+        proven.append(arrow)
+        return prove(arrow, config)
+
+    monkeypatch.setattr(lexicon_module, "prove", recording_prove)
+    lex = builtin_lexicon()
+    loaded = list(proven)
+    # one arrow per geach, expansion and modal step: the four adjunct
+    # heads make two each, that one and whom two
+    assert len(loaded) == 11
+    replayed = []
+    for e in lex.entries:
+        if e.steps_text:
+            base = lex.entry(e.derived_from, lex.types(e.derived_from)[0])
+            replayed += [a for _, a in run_pipeline(base.syn, e.steps_text) if a]
+    assert loaded == replayed
 
 
 # -- the step pipeline over whole entries
@@ -124,9 +168,17 @@ def test_pipeline_emits_arrows_where_derivable():
 
 def test_parse_steps():
     steps = parse_steps("geach(<x>[x]np); distribute ;drop_modal(np, 1)")
-    assert len(steps) == 3
-    with pytest.raises(LexiconError):
+    assert steps == (
+        ("geach", ("<x>[x]np",)), ("distribute", ()), ("drop_modal", ("np", "1")),
+    )
+    with pytest.raises(LexiconError, match="unknown step"):
         parse_steps("frobnicate(np)")
+    with pytest.raises(LexiconError, match="geach takes 1 argument"):
+        parse_steps("geach()")
+    with pytest.raises(LexiconError, match="distribute takes 0 argument"):
+        parse_steps("distribute(np)")
+    with pytest.raises(LexiconError, match="expand takes 2 argument"):
+        parse_steps("expand(s)")
 
 
 # -- lexicon files
@@ -167,6 +219,9 @@ def test_add_rejects_bad_entries():
         lex.add("bar :: np :: derived-from=zzz steps=geach(np)")
     with pytest.raises(LexiconError, match="does not reproduce"):
         lex.add("baz :: (n\\n)/s :: derived-from=that steps=geach(<x>[x]np)")
+    # the steps reproduce the type, but the Geach arrow has no proof
+    with pytest.raises(LexiconError, match=r"/np/np is not derivable"):
+        lex.add("qux :: ((np\\s)/np)/np/np :: derived-from=rejected steps=geach(np)")
     with pytest.raises(LexiconError):
         lex.add("incomplete ::")
 
