@@ -255,16 +255,18 @@ def cmd_derive_type(args) -> int:
     entries = [e for e in lexicon.entries if e.word == args.word]
     if not entries:
         raise UsageError(f"word {args.word!r} is not in the lexicon")
-    base = entries[0].syn
     steps = args.steps
-    if steps is None:
+    if steps is not None:
+        base = entries[0].syn
+        rows = run_pipeline(base, steps)
+    else:
         recorded = [e for e in entries if e.steps_text]
         if not recorded:
             raise UsageError(
                 f"{args.word!r} has no derived entry; pass --steps"
             )
         steps = recorded[0].steps_text
-    rows = run_pipeline(base, steps)
+        base, rows = lexicon.replay(recorded[0])
     printed = [print_formula(base)] + [print_formula(f) for f, _ in rows]
     if args.json:
         print(json.dumps({

@@ -399,8 +399,17 @@ class Lexicon:
             raise LexiconError(
                 f"{entry.word}: derived-from and steps come together"
             )
-        if entry.derived_from is None:
-            return
+        if entry.derived_from is not None:
+            self.replay(entry)
+
+    def replay(
+        self, entry: LexEntry
+    ) -> tuple[Formula, list[tuple[Formula, Arrow | None]]]:
+        """The base type and the ``run_pipeline`` rows by which the steps
+        of a derived entry reproduce its type, from the first entry of
+        its ``derived-from`` word that they reproduce it from; raises
+        LexiconError when there is none.  The loader accepts an entry
+        through this, and ``derive-type`` prints what it returns."""
         bases = self._by_word.get(entry.derived_from)
         if not bases:
             raise LexiconError(
@@ -415,7 +424,7 @@ class Lexicon:
                 continue
             derived = rows[-1][0] if rows else base.syn
             if derived == entry.syn:
-                return
+                return base.syn, rows
             failures.append(f"steps give {print_formula(derived)}")
         raise LexiconError(
             f"{entry.word}: replaying steps from {entry.derived_from!r} does not "

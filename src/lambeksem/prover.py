@@ -348,8 +348,10 @@ class SearchConfig:
     residuation bookkeeping are free.  Chains of consecutive structural
     moves on one goal line are capped at twice the antecedent tree depth
     of the goal at hand, which bounds the churn any single diamond
-    hypothesis can cause.  Disabling ``memoize`` or ``count_pruning`` is
-    only useful for conservativity tests.
+    hypothesis can cause.  ``count_pruning`` compares atom and modal
+    counts once per top-level goal and once per branch, before the branch
+    is built.  Disabling ``memoize`` or ``count_pruning`` is only useful
+    for conservativity tests.
     """
 
     max_proof_size: int = 40
@@ -421,15 +423,19 @@ def _unstrip(term: ProofTerm, steps) -> ProofTerm:
     return term
 
 
-def _covariant_positions(f: Formula, path: Path = ()) -> Iterator[tuple[Path, Formula]]:
-    """Preorder walk of positions reachable through products and modals."""
-    yield path, f
-    match f:
-        case Tensor(l, r):
-            yield from _covariant_positions(l, path + ("L",))
-            yield from _covariant_positions(r, path + ("R",))
-        case Dia(_, b) | Box(_, b):
-            yield from _covariant_positions(b, path + ("B",))
+def _covariant_positions(f: Formula) -> list[tuple[Path, Formula]]:
+    """Preorder list of positions reachable through products and modals."""
+    out = []
+    stack = [((), f)]
+    while stack:
+        path, g = stack.pop()
+        out.append((path, g))
+        if isinstance(g, Tensor):
+            stack.append((path + ("R",), g.right))
+            stack.append((path + ("L",), g.left))
+        elif isinstance(g, (Dia, Box)):
+            stack.append((path + ("B",), g.body))
+    return out
 
 
 class Prover:
@@ -449,13 +455,23 @@ class Prover:
     # -- public API
 
     def prove(self, goal: Arrow) -> SearchResult:
+        """Search for proofs of ``goal``.  With ``count_pruning``, a goal
+        whose two sides have different counts is refused here, before any
+        goal is expanded: every rule and the stripping of the succedent
+        keep the count difference, and ``_branches`` drops the subgoals
+        that would fail it, so no goal below the root can."""
         self.stats = SearchStats()
-        proofs, cut = self._search(
-            goal.source, goal.target, self.config.max_proof_size, 0
-        )
+        source, target = goal.source, goal.target
+        if (
+            self.config.count_pruning
+            and source != target
+            and count_vector(source) != count_vector(target)
+        ):
+            return SearchResult((), False, self.stats)
+        proofs, cut = self._search(source, target, self.config.max_proof_size, 0)
         terms = []
         for term, _size in proofs:
-            if term.source != goal.source or term.target != goal.target:
+            if term.source != source or term.target != target:
                 raise ProverError("internal error: proof endpoints drifted")
             terms.append(term)
         return SearchResult(tuple(terms), cut, self.stats)
@@ -463,11 +479,12 @@ class Prover:
     # -- core search
 
     def _search(self, lhs0, rhs0, budget, consec):
+        """Proofs of ``lhs0 -> rhs0`` within ``budget``, with the cut flag.
+        The goal's counts are not checked here: ``prove`` checks them once
+        at the root and ``_branches`` once per branch."""
         if lhs0 == rhs0:
             return [(pid(lhs0), 0)], False
         lhs, rhs, steps = _strip(lhs0, rhs0)
-        if self.config.count_pruning and count_vector(lhs) != count_vector(rhs):
-            return [], False
         key = (lhs, rhs, consec)
         if self.config.memoize:
             if key in self._perm_fail:
@@ -575,7 +592,7 @@ class Prover:
         ):
             m, a, b = lhs.mode, lhs.body, rhs.body
             yield (a, b), None, lambda ts, m=m: mon_dia(m, ts[0]), 0
-        positions = list(_covariant_positions(lhs))
+        positions = _covariant_positions(lhs)
         # slash applications at any covariant product node
         for path, sub in positions:
             if not isinstance(sub, Tensor):
@@ -745,29 +762,48 @@ def parse_bracketing(text: str, words: Sequence[str]):
     return tree
 
 
-def _enumerate_trees(i: int, j: int) -> Iterator:
-    """All binary trees over leaves i..j-1, fully right-branching first."""
-    if j - i == 1:
-        yield BracketLeaf(i)
-        return
-    for k in range(i + 1, j):
-        for left in _enumerate_trees(i, k):
-            for right in _enumerate_trees(k, j):
+class _Trees:
+    """The binary trees over one span of leaves, fully right-branching
+    first.  They are built as they are first asked for and kept, so
+    iterating again reads what was built, and a span's trees are shared
+    by every tree that contains the span."""
+
+    __slots__ = ("_built", "_pending")
+
+    def __init__(self, built: list, pending: Iterator):
+        self._built = built
+        self._pending = pending
+
+    def __iter__(self) -> Iterator:
+        built, k = self._built, 0
+        while True:
+            if k == len(built):
+                tree = next(self._pending, None)
+                if tree is None:
+                    return
+                built.append(tree)
+            yield built[k]
+            k += 1
+
+
+def _joined(splits) -> Iterator:
+    for left_trees, right_trees in splits:
+        for left in left_trees:
+            for right in right_trees:
                 yield BracketNode(left, right)
 
 
-def _with_wrap(tree, target) -> "BracketNode | BracketLeaf":
-    if tree is target:
-        if isinstance(tree, BracketLeaf):
-            return BracketLeaf(tree.index, True)
-        return BracketNode(tree.left, tree.right, True)
-    if isinstance(tree, BracketLeaf):
-        return tree
-    left = _with_wrap(tree.left, target)
-    right = _with_wrap(tree.right, target)
-    if left is tree.left and right is tree.right:
-        return tree
-    return BracketNode(left, right, tree.wrap)
+def _bracketings(n: int) -> _Trees:
+    """The trees over leaves 0..n-1, sharing the trees over every span.
+    A span's trees refer only to those of shorter spans, so no reference
+    cycle keeps them alive once the caller drops them."""
+    spans = {(i, i + 1): _Trees([BracketLeaf(i)], iter(())) for i in range(n)}
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            splits = [(spans[i, k], spans[k, j]) for k in range(i + 1, j)]
+            spans[i, j] = _Trees([], _joined(splits))
+    return spans[0, n]
 
 
 def _has_wrap(tree) -> bool:
@@ -785,35 +821,60 @@ def _locked(f: Formula) -> bool:
     return isinstance(f, Box)
 
 
-def _leftmost_leaf(tree) -> int:
-    while isinstance(tree, BracketNode):
-        tree = tree.left
-    return tree.index
+def _antecedent(tree, types: Sequence[Formula], memo: dict) -> Formula:
+    """The antecedent formula of ``tree``.  ``memo`` maps the ``id`` of
+    each subtree seen to its formula, so shared subtrees share theirs; it
+    must not outlive those subtrees."""
+    f = memo.get(id(tree))
+    if f is None:
+        if isinstance(tree, BracketLeaf):
+            f = types[tree.index]
+        else:
+            f = Tensor(
+                _antecedent(tree.left, types, memo),
+                _antecedent(tree.right, types, memo),
+            )
+        if tree.wrap:
+            f = Dia(Mode.I, f)
+        memo[id(tree)] = f
+    return f
 
 
-def _subtrees(tree) -> Iterator:
-    yield tree
-    if isinstance(tree, BracketNode):
-        yield from _subtrees(tree.left)
-        yield from _subtrees(tree.right)
+def _island_wraps(tree, locked_leaves: set[int], antecedent) -> Iterator:
+    """The tree, which has no wrap, with one island wrap over a
+    constituent whose leftmost word carries a box-locked type, for each
+    such constituent in preorder, each paired with its antecedent.  At
+    most one wrap per locked word is ever useful for the constructions
+    covered here.
 
-
-def _island_wraps(tree, locked_leaves: set[int]) -> Iterator:
-    """The tree with one island wrap over a constituent whose leftmost
-    word carries a box-locked type, for each such constituent.  At most
-    one wrap per locked word is ever useful for the constructions covered
-    here."""
-    for sub in _subtrees(tree):
-        if _leftmost_leaf(sub) in locked_leaves:
-            yield _with_wrap(tree, sub)
-
-
-def _antecedent(tree, types: Sequence[Formula]) -> Formula:
-    if isinstance(tree, BracketLeaf):
-        f = types[tree.index]
-    else:
-        f = Tensor(_antecedent(tree.left, types), _antecedent(tree.right, types))
-    return Dia(Mode.I, f) if tree.wrap else f
+    One preorder walk: the nodes popped since the last leaf are the left
+    spine down to the next leaf, so that leaf is their leftmost word."""
+    stack = [(tree, None)]
+    spine = []
+    while stack:
+        node, up = stack.pop()
+        spine.append((node, up))
+        if isinstance(node, BracketNode):
+            stack.append((node.right, (node, False, up)))
+            stack.append((node.left, (node, True, up)))
+            continue
+        if node.index in locked_leaves:
+            for sub, link in spine:
+                if isinstance(sub, BracketLeaf):
+                    wrapped = BracketLeaf(sub.index, True)
+                else:
+                    wrapped = BracketNode(sub.left, sub.right, True)
+                f = Dia(Mode.I, antecedent(sub))
+                while link is not None:
+                    parent, on_left, link = link
+                    if on_left:
+                        wrapped = BracketNode(wrapped, parent.right)
+                        f = Tensor(f, antecedent(parent.right))
+                    else:
+                        wrapped = BracketNode(parent.left, wrapped)
+                        f = Tensor(antecedent(parent.left), f)
+                yield wrapped, f
+        spine = []
 
 
 @dataclass
@@ -851,15 +912,20 @@ def derive_sentence(
     or an object with a ``types(word)`` method.  ``bracketing`` is a
     :func:`parse_bracketing`-style tree (or its textual form); ``None``
     enumerates all binary bracketings, right-branching first, and also tries
-    island brackets around constituents headed by a box-locked type.
+    island brackets around constituents headed by a box-locked type.  The
+    bracketings are enumerated lazily over shared subtrees: the trees over
+    each span are built once per call, only as far as the search asks for
+    them, and each lexical assignment builds the antecedent of each shared
+    subtree once.
 
-    With ``count_pruning`` on, the counts of each lexical assignment are
-    compared with the goal's once.  Bracketings do not change them and the
-    single island wrap adds one ``<i>`` diamond, so the candidates without
-    a wrap and those with one form two classes, each skipped whole when its
-    counts differ (an explicit bracketing is one class).  When both are
-    skipped, the assignment's goal still counts as a failed one for the
-    diagnostics.
+    With ``count_pruning`` on, counts are checked once per lexical
+    assignment here, once per top-level goal by ``Prover.prove`` and once
+    per branch inside the search.  Bracketings do not change an
+    assignment's counts and the single island wrap adds one ``<i>``
+    diamond, so the candidates without a wrap and those with one form two
+    classes, each skipped whole when its counts differ (an explicit
+    bracketing is one class).  When both are skipped, the
+    assignment's goal still counts as a failed one for the diagnostics.
     """
     config = config or SearchConfig()
     if hasattr(lexicon, "types"):
@@ -881,14 +947,14 @@ def derive_sentence(
                 f"bracketing search is capped at {MAX_SEARCH_WORDS} words; "
                 "pass an explicit bracketing"
             )
-        trees = list(_enumerate_trees(0, len(words)))
+        trees = _bracketings(len(words))
         explicit = False
     else:
         if isinstance(bracketing, str):
             bracketing = parse_bracketing(bracketing, words)
         if sorted(bracket_leaves(bracketing)) != list(range(len(words))):
             raise ProverError("bracketing does not cover the sentence words")
-        trees = [bracketing]
+        trees = (bracketing,)
         explicit = _has_wrap(bracketing)
 
     prover = Prover(config)
@@ -896,30 +962,33 @@ def derive_sentence(
     bounded = False
     failures = SearchStats()
     for assignment in itertools.product(*choices):
+        memo: dict = {}
+        antecedent = lambda tree: _antecedent(tree, assignment, memo)
         locked = set() if explicit else {
             i for i, t in enumerate(assignment) if _locked(t)
         }
         bare, wrapped = True, bool(locked)
         if config.count_pruning:
-            root = _antecedent(trees[0], assignment)
+            root = antecedent(next(iter(trees)))
             bare = count_vector(root) == count_vector(goal)
             wrapped = wrapped and count_vector(Dia(Mode.I, root)) == count_vector(goal)
             if not (bare or wrapped):
                 failures.record_failure(root, goal)
                 continue
         for tree in trees:
-            candidates = [tree] if bare else []
+            candidates = [(tree, antecedent(tree))] if bare else []
             if wrapped:
-                candidates.extend(_island_wraps(tree, locked))
-            for cand in candidates:
-                antecedent = _antecedent(cand, assignment)
-                result = prover.prove(Arrow(antecedent, goal))
+                candidates = itertools.chain(
+                    candidates, _island_wraps(tree, locked, antecedent)
+                )
+            for cand, ante in candidates:
+                result = prover.prove(Arrow(ante, goal))
                 bounded = bounded or result.bounded
                 deepest = result.stats.deepest_failure
                 if deepest is not None:
                     failures.record_failure(deepest.source, deepest.target)
                 for proof in result.proofs:
-                    parses.append(SentenceParse(cand, tuple(assignment), antecedent, proof))
+                    parses.append(SentenceParse(cand, tuple(assignment), ante, proof))
                     if not config.find_all:
                         return SentenceResult(
                             tuple(parses), bounded, "derivable"

@@ -49,6 +49,34 @@ CONTROL_BRACKETING = (
 )
 
 
+# (sentence, goal, bracketing or None, derivable)
+CRITERION_1_SUITE = [
+    ("papers that Bob rejected", "n", None, True),
+    ("papers that Bob rejected immediately", "n", None, True),
+    ("Bob left the room without closing the window", "s", None, True),
+    ("window that Bob left the room without closing", "n", None, False),
+    ("papers that Bob rejected without reading", "n", None, True),
+    ("papers that Bob rejected without reading carefully", "n", None, True),
+    ("security_breach that a report about in the NYT made public",
+     "n", None, True),
+    ("this is a candidate whom I would persuade every friend of to_vote for",
+     "s", CONTROL_BRACKETING, True),
+    ("which papers did Bob reject", "wh", None, True),
+    ("which papers did Bob reject immediately", "wh", None, True),
+    ("I know which papers Bob will reject", "s", None, True),
+    ("I know which papers Bob will reject immediately", "s", None, True),
+    ("this paper is hard to_understand", "s", None, True),
+    ("which papers did Bob accept despite not liking", "wh", None, True),
+    ("which papers did Bob accept despite not liking really",
+     "wh", None, True),
+    ("I know which papers Bob will reject before even reading cursorily",
+     "s", TWO_CLAUSE_BRACKETING, True),
+    ("this paper is easy to_explain well after studying thoroughly",
+     "s", None, True),
+    ("papers that Bob rejected the proposal", "n", None, False),
+]
+
+
 def report(capsys, number, description, problems, elapsed=None):
     status = "PASS" if not problems else "FAIL"
     timing = f"  [{elapsed:.2f}s]" if elapsed is not None else ""
@@ -60,31 +88,7 @@ def report(capsys, number, description, problems, elapsed=None):
 def test_criterion_1_derivability_suite(capsys):
     lex = builtin_lexicon()
     cfg = SearchConfig(max_proof_size=40)
-    suite = [
-        ("papers that Bob rejected", "n", None, True),
-        ("papers that Bob rejected immediately", "n", None, True),
-        ("Bob left the room without closing the window", "s", None, True),
-        ("window that Bob left the room without closing", "n", None, False),
-        ("papers that Bob rejected without reading", "n", None, True),
-        ("papers that Bob rejected without reading carefully", "n", None, True),
-        ("security_breach that a report about in the NYT made public",
-         "n", None, True),
-        ("this is a candidate whom I would persuade every friend of to_vote for",
-         "s", CONTROL_BRACKETING, True),
-        ("which papers did Bob reject", "wh", None, True),
-        ("which papers did Bob reject immediately", "wh", None, True),
-        ("I know which papers Bob will reject", "s", None, True),
-        ("I know which papers Bob will reject immediately", "s", None, True),
-        ("this paper is hard to_understand", "s", None, True),
-        ("which papers did Bob accept despite not liking", "wh", None, True),
-        ("which papers did Bob accept despite not liking really",
-         "wh", None, True),
-        ("I know which papers Bob will reject before even reading cursorily",
-         "s", TWO_CLAUSE_BRACKETING, True),
-        ("this paper is easy to_explain well after studying thoroughly",
-         "s", None, True),
-        ("papers that Bob rejected the proposal", "n", None, False),
-    ]
+    suite = CRITERION_1_SUITE
     problems = []
     start = time.perf_counter()
     for sentence, goal, bracketing, want in suite:

@@ -359,6 +359,37 @@ def test_derive_type_reads_a_lexicon_file(tmp_path, capsys):
     assert "'far' is not in the lexicon" in err
 
 
+DESPITE2 = (
+    "despite2 :: [i]((iv/<x>[x]np)\\(iv/np))/(gp/<x>[x]np) "
+    ":: sem=coord_adjunct_gap :: derived-from=despite "
+    "steps=geach(<x>[x]np);distribute;drop_modal(np,1)\n"
+)
+
+
+def test_derive_type_replays_from_the_derived_from_entry(tmp_path, capsys):
+    # a derived entry of another word is replayed from that word's base,
+    # the rows the loader checked, not from the entry's own type
+    from importlib.resources import files
+
+    bundled = files("lambeksem").joinpath("data/english.lex").read_text(encoding="utf-8")
+    lex = tmp_path / "despite2.lex"
+    lex.write_text(bundled + DESPITE2, encoding="utf-8")
+    code, out, _ = run(capsys, "derive-type", "despite2", "--lexicon", str(lex))
+    assert code == 0
+    _, want, _ = run(capsys, "derive-type", "despite")
+    assert out == want
+    assert len(out.splitlines()) == 4
+    assert out.splitlines()[0] == "[i](np\\s\\(np\\s))/gp"
+    # a recorded type the steps do not reproduce is refused
+    lex.write_text(
+        bundled + DESPITE2.replace("\\(iv/np)", "\\(iv/<x>[x]np)"), encoding="utf-8"
+    )
+    code, out, err = run(capsys, "derive-type", "despite2", "--lexicon", str(lex))
+    assert code == 2
+    assert out == ""
+    assert "replaying steps from 'despite' does not reproduce" in err
+
+
 def test_derive_type_without_steps_exits_2(capsys):
     code, _, err = run(capsys, "derive-type", "papers")
     assert code == 2

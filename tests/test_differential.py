@@ -7,16 +7,32 @@ on verdict and ``bounded``.  For every parse ``find_all`` returns (up to
 a cap), the link route and the proof-homomorphism route must normalize
 to the same JSON, and the einsum evaluator must match the brute-force
 oracle at small dimensions.
+
+The bracketing enumerator and the island-wrap walk of the sentence
+search are also compared, tree by tree, with the naive generators they
+replaced, kept here as the reference.
 """
 
+import itertools
 import random
 
 import numpy as np
 
 from lambeksem.diagram import normalize
-from lambeksem.formula import parse_formula
+from lambeksem.formula import Atom, Dia, Mode, Tensor, parse_formula
 from lambeksem.lexicon import builtin_lexicon
-from lambeksem.prover import Arrow, SearchConfig, derive_sentence, validate
+from lambeksem.prover import (
+    Arrow,
+    BracketLeaf,
+    BracketNode,
+    SearchConfig,
+    _antecedent,
+    _island_wraps,
+    _bracketings,
+    derive_sentence,
+    format_bracketing,
+    validate,
+)
 from lambeksem.tensor import TensorError, TensorStore, eval_diagram, oracle_eval
 from lambeksem.translate import compile_sentence, proof_meaning
 
@@ -125,3 +141,104 @@ def test_search_routes_and_evaluators_agree_on_drawn_sentences():
     # the draw must reach the later checks, not just reject everything
     assert derivable_drawn >= 10
     assert oracle_checked >= parses // 2 > 0
+
+
+# -- the reference enumerator and island-wrap generator
+
+
+def reference_trees(i, j):
+    """All binary trees over leaves i..j-1, fully right-branching first,
+    every one built afresh."""
+    if j - i == 1:
+        yield BracketLeaf(i)
+        return
+    for k in range(i + 1, j):
+        for left in reference_trees(i, k):
+            for right in reference_trees(k, j):
+                yield BracketNode(left, right)
+
+
+def _subtrees(tree):
+    yield tree
+    if isinstance(tree, BracketNode):
+        yield from _subtrees(tree.left)
+        yield from _subtrees(tree.right)
+
+
+def _leftmost_leaf(tree):
+    while isinstance(tree, BracketNode):
+        tree = tree.left
+    return tree.index
+
+
+def _with_wrap(tree, target):
+    if tree is target:
+        if isinstance(tree, BracketLeaf):
+            return BracketLeaf(tree.index, True)
+        return BracketNode(tree.left, tree.right, True)
+    if isinstance(tree, BracketLeaf):
+        return tree
+    left = _with_wrap(tree.left, target)
+    right = _with_wrap(tree.right, target)
+    if left is tree.left and right is tree.right:
+        return tree
+    return BracketNode(left, right, tree.wrap)
+
+
+def reference_wraps(tree, locked_leaves):
+    for sub in _subtrees(tree):
+        if _leftmost_leaf(sub) in locked_leaves:
+            yield _with_wrap(tree, sub)
+
+
+def reference_antecedent(tree, types):
+    if isinstance(tree, BracketLeaf):
+        f = types[tree.index]
+    else:
+        f = Tensor(reference_antecedent(tree.left, types),
+                   reference_antecedent(tree.right, types))
+    return Dia(Mode.I, f) if tree.wrap else f
+
+
+CATALAN = (1, 1, 2, 5, 14, 42, 132, 429)
+
+
+def test_bracketing_enumerator_matches_reference():
+    for n in range(1, 9):
+        words = [f"w{i}" for i in range(n)]
+        want = [format_bracketing(t, words) for t in reference_trees(0, n)]
+        assert len(want) == CATALAN[n - 1]
+        trees = _bracketings(n)
+        # a second reader starts while the first is part-way through
+        first = iter(trees)
+        head = list(itertools.islice(first, 3))
+        second = list(trees)
+        got = head + list(first)
+        assert [format_bracketing(t, words) for t in got] == want, n
+        assert all(a is b for a, b in zip(second, got, strict=True))
+        # subtrees are shared: each tree over a span is one object, so
+        # there are as many objects as trees over all the spans
+        nodes = {id(sub) for tree in got for sub in _subtrees(tree)}
+        assert len(nodes) == sum(
+            (n - w + 1) * CATALAN[w - 1] for w in range(1, n + 1)
+        )
+
+
+def test_island_wraps_match_reference():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        words = [f"w{i}" for i in range(n)]
+        types = [Atom(w) for w in words]
+        for tree in _bracketings(n):
+            for locked in (set(range(n)),
+                           {i for i in range(n) if rng.random() < 0.4}):
+                memo: dict = {}
+                got = list(_island_wraps(
+                    tree, locked, lambda t: _antecedent(t, types, memo)))
+                want = list(reference_wraps(tree, locked))
+                assert [format_bracketing(w, words) for w, _ in got] == [
+                    format_bracketing(w, words) for w in want
+                ]
+                assert [f for _, f in got] == [
+                    reference_antecedent(w, types) for w in want
+                ]

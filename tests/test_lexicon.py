@@ -7,6 +7,7 @@ from lambeksem.diagram import box
 from lambeksem import lexicon as lexicon_module
 from lambeksem.formula import parse_formula, print_formula
 from lambeksem.lexicon import (
+    LexEntry,
     LexiconError,
     Lexicon,
     builtin_lexicon,
@@ -233,6 +234,14 @@ def test_derived_entry_replays_against_any_base():
             "steps=geach(<x>[x]np);distribute;drop_modal(np,1)")
     e = lex.add(line)
     assert e.derived_from == "despite"
+    # replay names the base the loader accepted and the rows from it
+    base, rows = lex.replay(e)
+    assert base == lex.types("despite")[0]
+    assert rows[-1][0] == e.syn
+    wrong = LexEntry("despite3", lex.types("despite")[0], "", None,
+                     "despite", e.steps_text)
+    with pytest.raises(LexiconError, match="does not reproduce"):
+        lex.replay(wrong)
 
 
 def test_states_have_the_right_boundaries():

@@ -10,8 +10,10 @@ from lambeksem.prover import (
     MAX_SEARCH_WORDS,
     Arrow,
     Mode,
+    Prover,
     ProverError,
     SearchConfig,
+    _strip,
     alpha,
     coev_box,
     coev_over,
@@ -36,7 +38,8 @@ from lambeksem.prover import (
     sigma,
     validate,
 )
-from conftest import random_formula
+from conftest import composable_proof_pairs, random_formula
+from test_acceptance import CRITERION_1_SUITE
 
 
 def arrow(src, tgt):
@@ -132,6 +135,70 @@ def test_every_rule_preserves_counts():
         ]
         for t in terms:
             assert count_vector(t.source) == count_vector(t.target), t
+
+
+def count_difference(lhs, rhs) -> dict:
+    diff = dict(count_vector(lhs))
+    for k, v in count_vector(rhs).items():
+        diff[k] = diff.get(k, 0) - v
+    return {k: v for k, v in diff.items() if v}
+
+
+def test_strip_preserves_count_difference():
+    # with the rules, this is why counts need checking only at the root
+    rng = random.Random(29)
+    stripped = 0
+    for _ in range(300):
+        src = random_formula(rng, depth=3)
+        tgt = random_formula(rng, depth=4)
+        lhs, rhs, steps = _strip(src, tgt)
+        stripped += bool(steps)
+        assert count_difference(lhs, rhs) == count_difference(src, tgt), (src, tgt)
+    assert stripped >= 100
+
+
+def test_search_meets_only_count_matching_goals(monkeypatch):
+    # prove checks counts once at the root; below it, the goals the search
+    # meets keep the root's counts or were checked by _branches
+    search = Prover._search
+    calls = []
+
+    def checked(self, lhs, rhs, budget, consec):
+        assert count_vector(lhs) == count_vector(rhs), f"{lhs} -> {rhs}"
+        calls.append(budget)
+        return search(self, lhs, rhs, budget, consec)
+
+    monkeypatch.setattr(Prover, "_search", checked)
+    lex = builtin_lexicon()
+    for sentence, goal, bracketing, want in CRITERION_1_SUITE:
+        result = derive_sentence(
+            lex, sentence.split(), parse_formula(goal), bracketing=bracketing
+        )
+        assert result.ok == want, sentence
+    sentence_calls = len(calls)
+    assert sentence_calls > 1000
+    # random goals: the arrow pairs composable_proof_pairs draws and
+    # proves, their composites, and random goals whose counts match
+    rng = random.Random(31)
+    goals = [arrow(s, t) for s, t in DERIVABLE + UNDERIVABLE]
+    goals += [Arrow(f.source, g.target) for f, g in composable_proof_pairs(rng, 20)]
+    while len(goals) < len(DERIVABLE + UNDERIVABLE) + 120:
+        src, tgt = (random_formula(rng, depth=3, atoms=("a",)) for _ in range(2))
+        if count_vector(src) == count_vector(tgt):
+            goals.append(Arrow(src, tgt))
+    for g in goals:
+        prove(g, SearchConfig(max_proof_size=16))
+    # more calls than goals: the search went below the roots
+    assert len(calls) - sentence_calls > len(goals)
+
+
+def test_count_failing_goal_expands_nothing():
+    for src, tgt in [("a*b", "a"), ("a", "a/b"), ("<x>a", "a"), ("[i]a", "b\\a")]:
+        assert count_vector(parse_formula(src)) != count_vector(parse_formula(tgt))
+        for budget in (0, 40):
+            r = prove(arrow(src, tgt), SearchConfig(max_proof_size=budget))
+            assert r.proofs == () and not r.bounded, (src, tgt, budget)
+            assert r.stats.goals_expanded == 0 and r.stats.deepest_failure is None
 
 
 def test_compose_and_monotone():
