@@ -4,8 +4,12 @@ Proofs are terms over an axiomatisation with identities, composition,
 monotonicity rules for every connective, evaluation/coevaluation maps for the
 two slashes, the unit/counit pair for each modal family, and the two
 structural arrows (alpha, sigma) that let an extraction-marked hypothesis
-restructure to its use site.  Residuation is implemented as a derived rule,
-so every search step compiles down to a term in the base system.
+restructure to its use site.  Each rule is defined once, in the table
+``_RULES``, which the constructors, :func:`validate` and
+:func:`proof_from_dict` all read; ``translate.py`` re-encodes the rules
+independently in its two cross-checked routes from proofs to diagrams.
+Residuation is implemented as a derived rule, so every search step compiles
+down to a term in the base system.
 
 The search normalizes a goal by stripping slashes and boxes off the succedent
 (all invertible), then branches over: axiom closure, direct monotonicity,
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import (
     MAX_DEPTH,
@@ -56,88 +60,129 @@ class Arrow:
 # Proof terms
 
 
+# terms are never changed once built, so they hash by all their fields
+@dataclass(slots=True, unsafe_hash=True)
 class ProofTerm:
-    """A proof tree; ``source`` and ``target`` are maintained by constructors
-    and can be re-derived independently with :func:`validate`."""
+    """A proof tree; ``source`` and ``target`` are computed from the rule
+    table by the constructors and can be re-derived with :func:`validate`."""
 
-    __slots__ = ("rule", "mode", "params", "children", "source", "target")
-
-    def __init__(
-        self,
-        rule: str,
-        mode: Mode | None,
-        params: tuple[Formula, ...],
-        children: tuple["ProofTerm", ...],
-        source: Formula,
-        target: Formula,
-    ):
-        self.rule = rule
-        self.mode = mode
-        self.params = params
-        self.children = children
-        self.source = source
-        self.target = target
+    rule: str
+    mode: Mode | None
+    params: tuple[Formula, ...]
+    children: tuple["ProofTerm", ...]
+    source: Formula
+    target: Formula
 
     @property
     def arrow(self) -> Arrow:
         return Arrow(self.source, self.target)
 
-    def _key(self):
-        return (self.rule, self.mode, self.params, self.children,
-                self.source, self.target)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProofTerm):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"ProofTerm({self.rule}: {self.arrow})"
 
-    def size(self) -> int:
-        """Number of inference nodes, identities excluded."""
-        own = 0 if self.rule == "id" else 1
-        return own + sum(c.size() for c in self.children)
+
+class _Rule(NamedTuple):
+    arrow: Callable[..., tuple[Formula, Formula]]
+    arity: int
+    modes: tuple[Mode | None, ...] = (None,)
+    read: Callable[[Formula, Formula], tuple[Formula, ...]] | None = None
 
 
-def pid(a: Formula) -> ProofTerm:
-    return ProofTerm("id", None, (a,), (), a, a)
-
-
-def compose(g: ProofTerm, f: ProofTerm) -> ProofTerm:
-    """g after f."""
+def _composite(mode, g, f):
+    # g after f
     if f.target != g.source:
         raise ProverError(
             f"cannot compose: {print_formula(f.target)} != {print_formula(g.source)}"
         )
-    return ProofTerm("compose", None, (), (g, f), f.source, g.target)
+    return f.source, g.target
+
+
+def _read_structural(s: Formula, t: Formula) -> tuple[Formula, ...]:
+    return s.left.left, s.left.right, s.right.body
+
+
+# Every proof rule, defined once.  ``arrow`` maps the mode and either an
+# axiom's params or the proofs of the premises, whose stored endpoints it
+# reads, to the rule's (source, target).  ``arity`` counts an axiom's
+# params or a rule's premises.  An axiom's ``read`` takes its params back
+# off (source, target), and ``validate`` then checks the arrow they give
+# against those endpoints.
+_RULES: dict[str, _Rule] = {
+    "id": _Rule(lambda m, a: (a, a), 1, read=lambda s, t: (s,)),
+    "compose": _Rule(_composite, 2),
+    # premises f: A -> B and g: C -> D give A*C -> B*D, A/D -> B/C, B\C -> A\D
+    "mon_tensor": _Rule(lambda m, f, g: (Tensor(f.source, g.source),
+                                         Tensor(f.target, g.target)), 2),
+    "mon_over": _Rule(lambda m, f, g: (Over(f.source, g.target),
+                                       Over(f.target, g.source)), 2),
+    "mon_under": _Rule(lambda m, f, g: (Under(f.target, g.source),
+                                        Under(f.source, g.target)), 2),
+    "mon_dia": _Rule(lambda m, f: (Dia(m, f.source), Dia(m, f.target)), 1, tuple(Mode)),
+    "mon_box": _Rule(lambda m, f: (Box(m, f.source), Box(m, f.target)), 1, tuple(Mode)),
+    "ev_over": _Rule(lambda m, a, b: (Tensor(Over(b, a), a), b), 2,
+                     read=lambda s, t: (s.right, t)),
+    "coev_over": _Rule(lambda m, a, b: (b, Over(Tensor(b, a), a)), 2,
+                       read=lambda s, t: (t.arg, s)),
+    "ev_under": _Rule(lambda m, a, b: (Tensor(a, Under(a, b)), b), 2,
+                      read=lambda s, t: (s.left, t)),
+    "coev_under": _Rule(lambda m, a, b: (b, Under(a, Tensor(a, b))), 2,
+                        read=lambda s, t: (t.arg, s)),
+    "ev_box": _Rule(lambda m, a: (Dia(m, Box(m, a)), a), 1, tuple(Mode),
+                    read=lambda s, t: (t,)),
+    "coev_box": _Rule(lambda m, a: (a, Box(m, Dia(m, a))), 1, tuple(Mode),
+                      read=lambda s, t: (s,)),
+    # the structural rules, in the extraction mode only
+    "alpha": _Rule(lambda m, a, b, c: (Tensor(Tensor(a, b), dc := Dia(m, c)),
+                                       Tensor(a, Tensor(b, dc))),
+                   3, (Mode.X,), read=_read_structural),
+    "sigma": _Rule(lambda m, a, b, c: (Tensor(Tensor(a, b), dc := Dia(m, c)),
+                                       Tensor(Tensor(a, dc), b)),
+                   3, (Mode.X,), read=_read_structural),
+}
+
+
+def _build(rule: str, mode: Mode | None, params: tuple, premises: tuple) -> ProofTerm:
+    """The term applying ``rule`` in ``mode`` to an axiom's ``params`` or to
+    the proofs ``premises``, whose stored endpoints are used as they are.
+    Raises ProverError naming the rule on any misuse."""
+    spec = _RULES.get(rule)
+    if spec is None:
+        raise ProverError(f"unknown rule {rule!r}")
+    arrow, arity, modes, read = spec
+    args, rest = (params, premises) if read else (premises, params)
+    if len(args) != arity or rest:
+        raise ProverError(
+            f"{rule} takes {arity} {'params' if read else 'children'} and nothing "
+            f"else, got {len(params)} params and {len(premises)} children"
+        )
+    if mode not in modes:
+        allowed = " or ".join(m.value if m else "none" for m in modes)
+        got = mode.value if mode else "none"
+        raise ProverError(f"{rule} takes mode {allowed}, got {got}")
+    source, target = arrow(mode, *args)
+    return ProofTerm(rule, mode, params, premises, source, target)
+
+
+def pid(a: Formula) -> ProofTerm:
+    return _build("id", None, (a,), ())
+
+
+def compose(g: ProofTerm, f: ProofTerm) -> ProofTerm:
+    """g after f."""
+    return _build("compose", None, (), (g, f))
 
 
 def compose_opt(g: ProofTerm, f: ProofTerm) -> ProofTerm:
     """Composition that drops identity factors."""
-    if f.rule == "id":
-        if f.target != g.source:
-            raise ProverError("endpoint mismatch in composition")
+    if f.rule == "id" and f.target == g.source:
         return g
-    if g.rule == "id":
-        if f.target != g.source:
-            raise ProverError("endpoint mismatch in composition")
+    if g.rule == "id" and f.target == g.source:
         return f
     return compose(g, f)
 
 
 def mon_tensor(f: ProofTerm, g: ProofTerm) -> ProofTerm:
-    return ProofTerm(
-        "mon_tensor",
-        None,
-        (),
-        (f, g),
-        Tensor(f.source, g.source),
-        Tensor(f.target, g.target),
-    )
+    return _build("mon_tensor", None, (), (f, g))
 
 
 def mon_tensor_opt(f: ProofTerm, g: ProofTerm) -> ProofTerm:
@@ -148,163 +193,64 @@ def mon_tensor_opt(f: ProofTerm, g: ProofTerm) -> ProofTerm:
 
 
 def mon_over(f: ProofTerm, g: ProofTerm) -> ProofTerm:
-    # f: A -> B, g: C -> D  gives  A/D -> B/C
-    return ProofTerm(
-        "mon_over",
-        None,
-        (),
-        (f, g),
-        Over(f.source, g.target),
-        Over(f.target, g.source),
-    )
+    return _build("mon_over", None, (), (f, g))
 
 
 def mon_under(f: ProofTerm, g: ProofTerm) -> ProofTerm:
-    # f: A -> B, g: C -> D  gives  B\C -> A\D
-    return ProofTerm(
-        "mon_under",
-        None,
-        (),
-        (f, g),
-        Under(f.target, g.source),
-        Under(f.source, g.target),
-    )
+    return _build("mon_under", None, (), (f, g))
 
 
 def mon_dia(mode: Mode, f: ProofTerm) -> ProofTerm:
-    return ProofTerm(
-        "mon_dia", mode, (), (f,), Dia(mode, f.source), Dia(mode, f.target)
-    )
+    return _build("mon_dia", mode, (), (f,))
 
 
 def mon_box(mode: Mode, f: ProofTerm) -> ProofTerm:
-    return ProofTerm(
-        "mon_box", mode, (), (f,), Box(mode, f.source), Box(mode, f.target)
-    )
+    return _build("mon_box", mode, (), (f,))
 
 
 def ev_over(a: Formula, b: Formula) -> ProofTerm:
-    # (B/A) * A -> B
-    return ProofTerm("ev_over", None, (a, b), (), Tensor(Over(b, a), a), b)
+    return _build("ev_over", None, (a, b), ())
 
 
 def coev_over(a: Formula, b: Formula) -> ProofTerm:
-    # B -> (B*A)/A
-    return ProofTerm("coev_over", None, (a, b), (), b, Over(Tensor(b, a), a))
+    return _build("coev_over", None, (a, b), ())
 
 
 def ev_under(a: Formula, b: Formula) -> ProofTerm:
-    # A * (A\B) -> B
-    return ProofTerm("ev_under", None, (a, b), (), Tensor(a, Under(a, b)), b)
+    return _build("ev_under", None, (a, b), ())
 
 
 def coev_under(a: Formula, b: Formula) -> ProofTerm:
-    # B -> A\(A*B)
-    return ProofTerm("coev_under", None, (a, b), (), b, Under(a, Tensor(a, b)))
+    return _build("coev_under", None, (a, b), ())
 
 
 def ev_box(mode: Mode, a: Formula) -> ProofTerm:
-    return ProofTerm("ev_box", mode, (a,), (), Dia(mode, Box(mode, a)), a)
+    return _build("ev_box", mode, (a,), ())
 
 
 def coev_box(mode: Mode, a: Formula) -> ProofTerm:
-    return ProofTerm("coev_box", mode, (a,), (), a, Box(mode, Dia(mode, a)))
+    return _build("coev_box", mode, (a,), ())
 
 
 def alpha(a: Formula, b: Formula, c: Formula) -> ProofTerm:
-    # (A*B) * <x>C  ->  A * (B*<x>C)
-    dc = Dia(Mode.X, c)
-    return ProofTerm(
-        "alpha",
-        Mode.X,
-        (a, b, c),
-        (),
-        Tensor(Tensor(a, b), dc),
-        Tensor(a, Tensor(b, dc)),
-    )
+    return _build("alpha", Mode.X, (a, b, c), ())
 
 
 def sigma(a: Formula, b: Formula, c: Formula) -> ProofTerm:
-    # (A*B) * <x>C  ->  (A*<x>C) * B
-    dc = Dia(Mode.X, c)
-    return ProofTerm(
-        "sigma",
-        Mode.X,
-        (a, b, c),
-        (),
-        Tensor(Tensor(a, b), dc),
-        Tensor(Tensor(a, dc), b),
-    )
+    return _build("sigma", Mode.X, (a, b, c), ())
 
 
 def validate(term: ProofTerm) -> Arrow:
-    """Recompute the endpoints of ``term`` from scratch, checking every rule
-    application; raises ProverError on any mismatch."""
-    rule = term.rule
-    kids = term.children
-    if rule == "id":
-        (a,) = term.params
-        got = Arrow(a, a)
-    elif rule == "compose":
-        g, f = kids
-        fa, ga = validate(f), validate(g)
-        if fa.target != ga.source:
-            raise ProverError(f"bad composition: {fa} then {ga}")
-        got = Arrow(fa.source, ga.target)
-    elif rule == "mon_tensor":
-        f, g = kids
-        fa, ga = validate(f), validate(g)
-        got = Arrow(Tensor(fa.source, ga.source), Tensor(fa.target, ga.target))
-    elif rule == "mon_over":
-        f, g = kids
-        fa, ga = validate(f), validate(g)
-        got = Arrow(Over(fa.source, ga.target), Over(fa.target, ga.source))
-    elif rule == "mon_under":
-        f, g = kids
-        fa, ga = validate(f), validate(g)
-        got = Arrow(Under(fa.target, ga.source), Under(fa.source, ga.target))
-    elif rule == "mon_dia":
-        (f,) = kids
-        fa = validate(f)
-        got = Arrow(Dia(term.mode, fa.source), Dia(term.mode, fa.target))
-    elif rule == "mon_box":
-        (f,) = kids
-        fa = validate(f)
-        got = Arrow(Box(term.mode, fa.source), Box(term.mode, fa.target))
-    elif rule == "ev_over":
-        a, b = term.params
-        got = Arrow(Tensor(Over(b, a), a), b)
-    elif rule == "coev_over":
-        a, b = term.params
-        got = Arrow(b, Over(Tensor(b, a), a))
-    elif rule == "ev_under":
-        a, b = term.params
-        got = Arrow(Tensor(a, Under(a, b)), b)
-    elif rule == "coev_under":
-        a, b = term.params
-        got = Arrow(b, Under(a, Tensor(a, b)))
-    elif rule == "ev_box":
-        (a,) = term.params
-        got = Arrow(Dia(term.mode, Box(term.mode, a)), a)
-    elif rule == "coev_box":
-        (a,) = term.params
-        got = Arrow(a, Box(term.mode, Dia(term.mode, a)))
-    elif rule == "alpha":
-        a, b, c = term.params
-        if term.mode is not Mode.X:
-            raise ProverError("alpha is restricted to the extraction mode")
-        dc = Dia(Mode.X, c)
-        got = Arrow(Tensor(Tensor(a, b), dc), Tensor(a, Tensor(b, dc)))
-    elif rule == "sigma":
-        a, b, c = term.params
-        if term.mode is not Mode.X:
-            raise ProverError("sigma is restricted to the extraction mode")
-        dc = Dia(Mode.X, c)
-        got = Arrow(Tensor(Tensor(a, b), dc), Tensor(Tensor(a, dc), b))
-    else:
-        raise ProverError(f"unknown rule {rule!r}")
-    if got.source != term.source or got.target != term.target:
-        raise ProverError(f"stored endpoints disagree for {rule}: {got} vs {term.arrow}")
+    """Recompute the endpoints of ``term`` from the rule table, premises
+    first; raises ProverError on any misapplied rule or stored endpoint
+    that disagrees."""
+    for child in term.children:
+        validate(child)
+    got = _build(term.rule, term.mode, term.params, term.children).arrow
+    if got != term.arrow:
+        raise ProverError(
+            f"stored endpoints disagree for {term.rule}: {got} vs {term.arrow}"
+        )
     return got
 
 
@@ -609,7 +555,7 @@ class Prover:
 
                     yield (
                         (r, arg),
-                        lambda path=path, res=res: (_replace_or_root(lhs, path, res), rhs),
+                        lambda path=path, res=res: (replace_at(lhs, path, res), rhs),
                         build_fwd,
                         0,
                     )
@@ -624,7 +570,7 @@ class Prover:
 
                     yield (
                         (l, arg),
-                        lambda path=path, res=res: (_replace_or_root(lhs, path, res), rhs),
+                        lambda path=path, res=res: (replace_at(lhs, path, res), rhs),
                         build_bwd,
                         0,
                     )
@@ -636,7 +582,7 @@ class Prover:
                 and sub.body.mode is sub.mode
             ):
                 inner_f = sub.body.body
-                rewritten = _replace_or_root(lhs, path, inner_f)
+                rewritten = replace_at(lhs, path, inner_f)
 
                 def build_unlock(ts, path=path, m=sub.mode, a=inner_f):
                     return compose_opt(ts[0], _lift(lhs, path, ev_box(m, a)))
@@ -655,18 +601,12 @@ class Prover:
                         continue
                     a, b, c = sub.left.left, sub.left.right, sub.right.body
                     inner = alpha(a, b, c) if rule == "alpha" else sigma(a, b, c)
-                    rewritten = _replace_or_root(lhs, path, inner.target)
+                    rewritten = replace_at(lhs, path, inner.target)
 
                     def build_struct(ts, path=path, inner=inner):
                         return compose_opt(ts[0], _lift(lhs, path, inner))
 
                     yield (rewritten, rhs), None, build_struct, consec + 1
-
-
-def _replace_or_root(whole: Formula, path: Path, new: Formula) -> Formula:
-    if not path:
-        return new
-    return replace_at(whole, path, new)
 
 
 def prove(goal: Arrow, config: SearchConfig | None = None) -> SearchResult:
@@ -693,13 +633,20 @@ class BracketLeaf:
     wrap: bool = False
 
 
-BracketTree = "BracketNode | BracketLeaf"
-
-
-def bracket_leaves(tree) -> list[int]:
-    if isinstance(tree, BracketLeaf):
-        return [tree.index]
-    return bracket_leaves(tree.left) + bracket_leaves(tree.right)
+def _in_word_order(tree, n: int) -> bool:
+    """True when the leaves of ``tree``, left to right, are the words
+    0..n-1 in order."""
+    stack = [tree]
+    expected = 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BracketNode):
+            stack += (node.right, node.left)
+        elif node.index != expected:
+            return False
+        else:
+            expected += 1
+    return expected == n
 
 
 def format_bracketing(tree, words: Sequence[str]) -> str:
@@ -952,8 +899,8 @@ def derive_sentence(
     else:
         if isinstance(bracketing, str):
             bracketing = parse_bracketing(bracketing, words)
-        if sorted(bracket_leaves(bracketing)) != list(range(len(words))):
-            raise ProverError("bracketing does not cover the sentence words")
+        if not _in_word_order(bracketing, len(words)):
+            raise ProverError("bracketing leaves must be the sentence words in order")
         trees = (bracketing,)
         explicit = _has_wrap(bracketing)
 
@@ -1022,46 +969,38 @@ def proof_to_json(term: ProofTerm) -> str:
 
 
 def proof_from_dict(d: Mapping) -> ProofTerm:
-    rule = d["rule"]
-    mode = Mode(d["mode"]) if "mode" in d else None
-    children = tuple(proof_from_dict(c) for c in d.get("children", ()))
-    source = parse_formula(d["source"])
-    target = parse_formula(d["target"])
-
-    def need(ok: bool, shape: str) -> None:
-        if not ok:
-            raise ProverError(f"{rule} proof needs {shape}, got {d['source']} -> {d['target']}")
-
-    params: tuple[Formula, ...] = ()
-    if rule == "id":
-        params = (source,)
-    elif rule == "ev_over":
-        need(isinstance(source, Tensor), "a product source")
-        params = (source.right, target)
-    elif rule == "coev_over":
-        need(isinstance(target, Over), "a rightward-slash target")
-        params = (target.arg, source)
-    elif rule == "ev_under":
-        need(isinstance(source, Tensor), "a product source")
-        params = (source.left, target)
-    elif rule == "coev_under":
-        need(isinstance(target, Under), "a leftward-slash target")
-        params = (target.arg, source)
-    elif rule == "ev_box":
-        params = (target,)
-    elif rule == "coev_box":
-        params = (source,)
-    elif rule in ("alpha", "sigma"):
-        need(
-            isinstance(source, Tensor)
-            and isinstance(source.left, Tensor)
-            and isinstance(source.right, Dia),
-            "a (A*B)*<m>C source",
-        )
-        params = (source.left.left, source.left.right, source.right.body)
-    term = ProofTerm(rule, mode, params, children, source, target)
+    """Read back what :func:`proof_to_dict` writes, then validate it.  Each
+    axiom's params are read off its endpoints by its table entry; malformed
+    input of any kind raises ProverError naming the rule."""
+    term = _term_from_dict(d)
     validate(term)
     return term
+
+
+def _term_from_dict(d) -> ProofTerm:
+    rule = d.get("rule") if isinstance(d, Mapping) else None
+    spec = _RULES.get(rule) if isinstance(rule, str) else None
+    if spec is None:
+        raise ProverError(f"unknown rule {rule!r} in proof")
+    children = d.get("children", [])
+    if not isinstance(children, list):
+        raise ProverError(f"{rule} proof children must be a list")
+    try:
+        mode = Mode(d["mode"]) if "mode" in d else None
+        source = parse_formula(d["source"])
+        target = parse_formula(d["target"])
+    except KeyError as err:
+        raise ProverError(f"{rule} proof has no {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ProverError(f"malformed {rule} proof: {err}") from None
+    try:
+        params = spec.read(source, target) if spec.read else ()
+    except AttributeError:
+        raise ProverError(
+            f"{rule} cannot prove {print_formula(source)} -> {print_formula(target)}"
+        ) from None
+    premises = tuple(_term_from_dict(c) for c in children)
+    return ProofTerm(rule, mode, params, premises, source, target)
 
 
 def proof_from_json(text: str) -> ProofTerm:

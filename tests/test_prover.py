@@ -9,6 +9,8 @@ from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,
     Arrow,
+    BracketLeaf,
+    BracketNode,
     Mode,
     Prover,
     ProverError,
@@ -100,17 +102,27 @@ def test_underivable_arrows(src, tgt):
 
 
 def test_validate_accepts_primitives():
-    # evaluation and coevaluation take the argument type first
+    # every rule's shape, written out by hand; evaluation and coevaluation
+    # take the argument type first
     a, b = parse_formula("a"), parse_formula("b")
+    # premises f: <x>[x]a -> a and g: b -> [i]<i>b
+    f, g = ev_box(Mode.X, a), coev_box(Mode.I, b)
     cases = [
         (pid(a), "a", "a"),
         (ev_over(a, b), "b/a*a", "b"),
         (ev_under(a, b), "a*a\\b", "b"),
         (coev_over(a, b), "b", "(b*a)/a"),
+        (coev_under(a, b), "b", "a\\(a*b)"),
         (ev_box(Mode.X, a), "<x>[x]a", "a"),
         (coev_box(Mode.I, a), "a", "[i]<i>a"),
         (alpha(a, b, parse_formula("c")), "(a*b)*<x>c", "a*(b*<x>c)"),
         (sigma(a, b, parse_formula("c")), "(a*b)*<x>c", "(a*<x>c)*b"),
+        (mon_tensor(f, g), "(<x>[x]a)*b", "a*([i]<i>b)"),
+        (mon_over(f, g), "(<x>[x]a)/([i]<i>b)", "a/b"),
+        (mon_under(f, g), "a\\b", "(<x>[x]a)\\([i]<i>b)"),
+        (mon_dia(Mode.I, f), "<i><x>[x]a", "<i>a"),
+        (mon_box(Mode.X, g), "[x]b", "[x][i]<i>b"),
+        (compose(coev_box(Mode.I, a), f), "<x>[x]a", "[i]<i>a"),
     ]
     for term, src, tgt in cases:
         got = validate(term)
@@ -234,11 +246,26 @@ def test_proof_json_round_trip():
         arrow("<x>[x]a", "a"),
         arrow("a/b", "(a/<x>[x]c)/(b/<x>[x]c)"),
     ]
-    for g in goals:
-        t = prove(g).proofs[0]
+    proofs = [(prove(g).proofs[0], g) for g in goals]
+    # the first proof of every derivable criterion-1 sentence
+    lex = builtin_lexicon()
+    for sentence, goal, bracketing, want in CRITERION_1_SUITE:
+        if want:
+            parse = derive_sentence(
+                lex, sentence.split(), parse_formula(goal), bracketing=bracketing
+            ).parses[0]
+            proofs.append((parse.proof, Arrow(parse.antecedent, parse_formula(goal))))
+    rules = set()
+    for t, g in proofs:
         back = proof_from_json(proof_to_json(t))
         assert back == t
         assert validate(back) == g
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            rules.add(node.rule)
+            stack.extend(node.children)
+    assert {"alpha", "sigma", "ev_box", "mon_dia"} <= rules
 
 
 def test_proof_from_dict_rejects_malformed_terms():
@@ -248,6 +275,25 @@ def test_proof_from_dict_rejects_malformed_terms():
         proof_from_dict(
             {"rule": "alpha", "mode": "x", "source": "a*b", "target": "a*b"}
         )
+    ident = {"rule": "id", "source": "a", "target": "a"}
+    malformed = [
+        ("compose", {"rule": "compose", "children": [ident],
+                     "source": "a", "target": "a"}),
+        ("mon_dia", {"rule": "mon_dia", "children": [ident],
+                     "source": "<x>a", "target": "<x>a"}),
+        ("ev_box", {"rule": "ev_box", "source": "<x>[x]a", "target": "a"}),
+        ("id", {"rule": "id", "source": "a"}),
+        ("ev_box", {"rule": "ev_box", "mode": "q",
+                    "source": "<x>[x]a", "target": "a"}),
+        # an axiom takes no premises
+        ("id", dict(ident, children=[ident])),
+        # the structural rules hold in the extraction mode only
+        ("alpha", {"rule": "alpha", "mode": "i",
+                   "source": "(a*b)*<i>c", "target": "a*(b*<i>c)"}),
+    ]
+    for rule, d in malformed:
+        with pytest.raises(ProverError, match=rf"\b{rule}\b"):
+            proof_from_dict(d)
 
 
 def test_find_all_returns_distinct_valid_proofs():
@@ -392,3 +438,10 @@ def test_derive_sentence_with_explicit_bracketing():
     p = r.parses[0]
     assert format_bracketing(p.bracketing, words) == text
     assert validate(p.proof) == Arrow(p.antecedent, parse_formula("n"))
+    # the leaves of an explicit tree must be the words in order: the search
+    # rejects "room the", so a tree may not read it as "the room"
+    words, np_ = ["room", "the"], parse_formula("np")
+    assert not derive_sentence(lex, words, np_).ok
+    with pytest.raises(ProverError, match="in order"):
+        derive_sentence(lex, words, np_,
+                        bracketing=BracketNode(BracketLeaf(1), BracketLeaf(0)))
