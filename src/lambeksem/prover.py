@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import (
     MAX_DEPTH,
+    Atom,
     Box,
     Dia,
     Formula,
@@ -296,8 +297,11 @@ class SearchConfig:
     of the goal at hand, which bounds the churn any single diamond
     hypothesis can cause.  ``count_pruning`` compares atom and modal
     counts once per top-level goal and once per branch, before the branch
-    is built.  Disabling ``memoize`` or ``count_pruning`` is only useful
-    for conservativity tests.
+    is built; it also turns on the chart of :func:`derive_sentence`, which
+    keeps from the prover the candidates that cannot reach the goal.
+    Disabling ``memoize`` or ``count_pruning`` is only useful for
+    conservativity tests; ``count_pruning=False`` is the unpruned
+    reference.
     """
 
     max_proof_size: int = 40
@@ -588,9 +592,11 @@ class Prover:
                     return compose_opt(ts[0], _lift(lhs, path, ev_box(m, a)))
 
                 yield (rewritten, rhs), None, build_unlock, 0
-        # structural moves, alpha before sigma
+        # structural moves, alpha before sigma; a move's target is read off
+        # the parts of ``sub``, and its term is built once the branch has
+        # a proof
         if consec < 2 * lhs.depth:
-            for rule in ("alpha", "sigma"):
+            for rule in (alpha, sigma):
                 for path, sub in positions:
                     if not (
                         isinstance(sub, Tensor)
@@ -599,12 +605,15 @@ class Prover:
                         and sub.right.mode is Mode.X
                     ):
                         continue
-                    a, b, c = sub.left.left, sub.left.right, sub.right.body
-                    inner = alpha(a, b, c) if rule == "alpha" else sigma(a, b, c)
-                    rewritten = replace_at(lhs, path, inner.target)
+                    a, b, dc = sub.left.left, sub.left.right, sub.right
+                    if rule is alpha:
+                        target = Tensor(a, Tensor(b, dc))
+                    else:
+                        target = Tensor(Tensor(a, dc), b)
+                    rewritten = replace_at(lhs, path, target)
 
-                    def build_struct(ts, path=path, inner=inner):
-                        return compose_opt(ts[0], _lift(lhs, path, inner))
+                    def build_struct(ts, path=path, rule=rule, a=a, b=b, c=dc.body):
+                        return compose_opt(ts[0], _lift(lhs, path, rule(a, b, c)))
 
                     yield (rewritten, rhs), None, build_struct, consec + 1
 
@@ -740,16 +749,20 @@ def _joined(splits) -> Iterator:
                 yield BracketNode(left, right)
 
 
-def _bracketings(n: int) -> _Trees:
+def _bracketings(n: int, splits: Mapping | None = None) -> _Trees:
     """The trees over leaves 0..n-1, sharing the trees over every span.
     A span's trees refer only to those of shorter spans, so no reference
-    cycle keeps them alive once the caller drops them."""
+    cycle keeps them alive once the caller drops them.  ``splits`` maps
+    a span (i, j) to the split points its trees may use, in order; a
+    span it does not name has no trees.  The trees are then those of the
+    full enumeration whose every node uses a listed split, in the same
+    order."""
     spans = {(i, i + 1): _Trees([BracketLeaf(i)], iter(())) for i in range(n)}
     for width in range(2, n + 1):
         for i in range(n - width + 1):
             j = i + width
-            splits = [(spans[i, k], spans[k, j]) for k in range(i + 1, j)]
-            spans[i, j] = _Trees([], _joined(splits))
+            ks = range(i + 1, j) if splits is None else splits.get((i, j), ())
+            spans[i, j] = _Trees([], _joined([(spans[i, k], spans[k, j]) for k in ks]))
     return spans[0, n]
 
 
@@ -770,20 +783,22 @@ def _locked(f: Formula) -> bool:
 
 def _antecedent(tree, types: Sequence[Formula], memo: dict) -> Formula:
     """The antecedent formula of ``tree``.  ``memo`` maps the ``id`` of
-    each subtree seen to its formula, so shared subtrees share theirs; it
-    must not outlive those subtrees."""
-    f = memo.get(id(tree))
-    if f is None:
-        if isinstance(tree, BracketLeaf):
-            f = types[tree.index]
-        else:
-            f = Tensor(
-                _antecedent(tree.left, types, memo),
-                _antecedent(tree.right, types, memo),
-            )
-        if tree.wrap:
-            f = Dia(Mode.I, f)
-        memo[id(tree)] = f
+    each subtree seen to the subtree and its formula, so shared subtrees
+    share theirs; holding the subtree keeps its ``id`` from being reused
+    by another tree while the memo lives."""
+    hit = memo.get(id(tree))
+    if hit is not None:
+        return hit[1]
+    if isinstance(tree, BracketLeaf):
+        f = types[tree.index]
+    else:
+        f = Tensor(
+            _antecedent(tree.left, types, memo),
+            _antecedent(tree.right, types, memo),
+        )
+    if tree.wrap:
+        f = Dia(Mode.I, f)
+    memo[id(tree)] = (tree, f)
     return f
 
 
@@ -824,6 +839,420 @@ def _island_wraps(tree, locked_leaves: set[int], antecedent) -> Iterator:
         spine = []
 
 
+# ---------------------------------------------------------------------------
+# The chart: what each constituent can reduce to
+
+
+# The most extraction hypotheses a chart class counts; a constituent that
+# would hold more is assumed to prove what it must.
+_MAX_HYPS = 2
+
+
+def _hyp_atom(f: Formula) -> str | None:
+    """``a`` for an extraction hypothesis ``<x>[x]a``, else None."""
+    if (
+        isinstance(f, Dia) and f.mode is Mode.X
+        and isinstance(f.body, Box) and f.body.mode is Mode.X
+        and isinstance(f.body.body, Atom)
+    ):
+        return f.body.body.name
+    return None
+
+
+def _msum(a: tuple, b: tuple) -> tuple:
+    """The union of two multisets kept as sorted tuples."""
+    return tuple(sorted(a + b)) if a and b else a or b
+
+
+def _mdiff(a: tuple, b: tuple) -> tuple | None:
+    """``a`` less the multiset ``b``, or None when ``b`` is not in ``a``."""
+    rest = list(a)
+    for x in b:
+        if x not in rest:
+            return None
+        rest.remove(x)
+    return tuple(rest)
+
+
+def _join(c1, c2):
+    """The class of a constituent made of parts of classes ``c1`` and
+    ``c2``, or None when it would hold two wraps or too many hypotheses."""
+    (w1, h1), (w2, h2) = c1, c2
+    if w1 and w2 or len(h1) + len(h2) > _MAX_HYPS:
+        return None
+    return w1 | w2, _msum(h1, h2)
+
+
+def _spine(t: Formula) -> list[Formula]:
+    """``t`` and the formulas on its result spine, read through slashes
+    and boxes: what a word of type ``t`` can reduce to by application
+    and unlock."""
+    out = [t]
+    while isinstance(t, (Over, Under, Box)):
+        t = t.body if isinstance(t, Box) else t.result
+        out.append(t)
+    return out
+
+
+def _reducible(t: Formula) -> bool:
+    """True for a lexical type the chart models: its result spine ends
+    in an atom, with no product or diamond on it."""
+    return isinstance(_spine(t)[-1], Atom)
+
+
+def _plain(f: Formula) -> bool:
+    """No product and no diamond anywhere in ``f``."""
+    match f:
+        case Atom():
+            return True
+        case Over(a, b) | Under(a, b):
+            return _plain(a) and _plain(b)
+        case Box(_, body):
+            return _plain(body)
+    return False
+
+
+def _simple(c: Formula) -> bool:
+    """True when stripping ``c`` adds only plain hypotheses and ends in
+    an atom.  No structural rule can then apply, so a constituent proves
+    ``c`` exactly when a formula it fully reduces to does."""
+    while True:
+        match c:
+            case Over(res, hyp) | Under(hyp, res):
+                if not _plain(hyp):
+                    return False
+                c = res
+            case Box(_, body):
+                c = body
+            case Atom():
+                return True
+            case _:
+                return False
+
+
+class _Checks:
+    """The arrows the charts of one sentence search ask about, each
+    decided once by a prover of their own, so that the search's prover
+    and its memo tables see the same goals as without the charts."""
+
+    def __init__(self, config: SearchConfig):
+        self.prover = Prover(replace(config, find_all=False))
+        self._kinds: dict = {}
+        self._derives: dict = {}
+        self._hyps: dict = {}
+
+    def kind(self, arg: Formula):
+        """How a constituent is checked against the argument ``arg``, as
+        (kind, hypotheses, rest).  'gap': proving ``arg`` adds the
+        hypotheses ``<x>[x]a`` (their atoms, sorted) at its right and
+        leaves the simple ``rest``; 'product'; 'simple'; or 'other', for
+        the prover on the constituent itself."""
+        hit = self._kinds.get(arg)
+        if hit is None:
+            hyps, rest = [], arg
+            while isinstance(rest, Over) and (a := _hyp_atom(rest.arg)) is not None:
+                hyps.append(a)
+                rest = rest.result
+            if hyps and _simple(rest):
+                hit = "gap", tuple(sorted(hyps)), rest
+            elif isinstance(arg, Tensor):
+                hit = "product", (), arg
+            else:
+                hit = "simple" if _simple(arg) else "other", (), arg
+            self._kinds[arg] = hit
+        return hit
+
+    def hyp(self, a: str) -> Formula:
+        f = self._hyps.get(a)
+        if f is None:
+            f = self._hyps[a] = Dia(Mode.X, Box(Mode.X, Atom(a)))
+        return f
+
+    def derives(self, source: Formula, target: Formula) -> bool:
+        """False only when the prover exhausts ``source -> target``."""
+        if source == target:
+            return True
+        key = (source, target)
+        ok = self._derives.get(key)
+        if ok is None:
+            result = self.prover.prove(Arrow(source, target))
+            ok = self._derives[key] = result.ok or result.bounded
+        return ok
+
+    def any_derives(self, sources, target: Formula) -> bool:
+        """Whether a formula some constituent fully reduces to proves
+        ``target``; such a formula proves an atom only by being it."""
+        if isinstance(target, Atom):
+            return target in sources
+        return any(self.derives(f, target) for f in sources)
+
+    def consumes(self, f: Formula, a: str) -> bool:
+        """Whether ``f`` takes the hypothesis ``<x>[x]a`` at its right."""
+        return isinstance(f, Over) and self.derives(self.hyp(a), f.arg)
+
+
+class _Chart:
+    """What the constituents of one lexical assignment can reduce to.
+
+    By slash application and island unlock, what a constituent fully
+    reduces to depends only on its words.  An item is (class, formula),
+    and a class (w, hyps) says whether the constituent holds the island
+    wrap and which extraction hypotheses ``<x>[x]a`` it holds (their
+    atoms, sorted).  Alpha and sigma can move a hypothesis from the right
+    of a constituent to the right of any node in it outside an island,
+    where the node's formula consumes it; hypotheses at one node stack,
+    in either order.  An argument is proved by a formula the constituent
+    reduces to when it is simple, by one the constituent with the
+    argument's own hypotheses reduces to when it is ``A/<x>[x]a...``, by
+    the two halves of its top split when it is a product (only a product
+    of constituents proves one), and otherwise by the prover on the
+    constituent.
+
+    ``items[i, j]`` unites the items of every tree over the words
+    i..j-1 and keeps, for each, the splits and items that derive it
+    (there the prover's part is assumed to succeed).  Read down from the
+    goal, they give the splits a candidate can use at each span
+    (``splits``).  ``admits`` then computes the items of one candidate
+    tree itself.
+
+    Every check errs towards admitting: a cut prover counts as a proof,
+    and a constituent that would hold more than ``_MAX_HYPS`` hypotheses,
+    or one from outside inside a product argument, is assumed to prove
+    what it must.  So a candidate the prover can prove at any budget is
+    never refused.
+    """
+
+    def __init__(self, types, locked, goal, roots, antecedent, checks: _Checks):
+        """``roots`` lists the wrap counts, 0 or 1, of the candidate
+        classes that passed the count check."""
+        self.types, self.goal = types, goal
+        self.antecedent, self.checks = antecedent, checks
+        self._nodes: dict = {}
+        n = self.n = len(types)
+        # the product arguments and the hypotheses the types can add
+        self.products = set()
+        names = set()
+        args = [f.arg for t in types for f in _spine(t) if isinstance(f, (Over, Under))]
+        while args:
+            arg = args.pop()
+            kind, hyps, _ = checks.kind(arg)
+            names.update(hyps)
+            if kind == "product":
+                self.products.add(arg)
+                args += (arg.left, arg.right)
+        self.names = sorted(names)
+        self.hyp_sets = [()] + [
+            hs for size in range(1, _MAX_HYPS + 1)
+            for hs in itertools.combinations_with_replacement(self.names, size)
+        ]
+        # whether a span has a word that an island wrap can start at
+        self._wraps = {(i, j): any(k in locked for k in range(i, j))
+                       for i in range(n) for j in range(i + 1, n + 1)}
+        items: dict = {}
+        for width in range(1, n + 1):
+            for i in range(n - width + 1):
+                items[i, i + width] = self._span(items, i, i + width, i in locked)
+        self.roots = [((w, ()), goal) for w in roots if ((w, ()), goal) in items[0, n]]
+        self.splits = self._useful(items, n, self.roots)
+
+    def trees(self):
+        """The bracketings whose every node uses a split that can reach
+        the goal, in the order of the full enumeration."""
+        return _bracketings(self.n, self.splits) if self.roots else ()
+
+    # -- the span table
+
+    def _classes(self, span):
+        ws = (0, 1) if self._wraps[span] else (0,)
+        return [(w, hs) for w in ws for hs in self.hyp_sets]
+
+    def _span(self, items, i, j, locked) -> dict:
+        """The items of span (i, j), each mapped to its derivations:
+        (k, left need, right need) for a split at k, (None, item, None)
+        for one from another item of the span."""
+        out: dict = {((0, ()), self.types[i]): []} if j == i + 1 else {}
+        for k in range(i + 1, j):
+            left, right = items[i, k], items[k, j]
+            # a product argument, read as the two halves of this split;
+            # hypotheses from outside it are left to _fillers
+            for p in self.products:
+                for c, lneed in self._fillers(p.left, (0, ()), left, (i, k)):
+                    for c2, rneed in self._fillers(p.right, c, right, (k, j)):
+                        if not c2[1]:
+                            out.setdefault((c2, p), []).append((k, lneed, rneed))
+            for cl, f in left:
+                if isinstance(f, Over):
+                    for c, need in self._fillers(f.arg, cl, right, (k, j)):
+                        out.setdefault((c, f.result), []).append((k, (cl, f), need))
+            for cr, f in right:
+                if isinstance(f, Under):
+                    for c, need in self._fillers(f.arg, cr, left, (i, k)):
+                        out.setdefault((c, f.result), []).append((k, need, (cr, f)))
+        if locked:
+            for item in list(out):
+                c, f = item
+                if c == (0, ()) and isinstance(f, Box) and f.mode is Mode.I:
+                    out.setdefault(((1, ()), f.body), []).append((None, item, None))
+        # hypotheses stacked at the span's node, fewest first
+        for size in range(_MAX_HYPS):
+            for item in [it for it in out if len(it[0][1]) == size]:
+                (w, hs), f = item
+                for a in self.names:
+                    if self.checks.consumes(f, a):
+                        c = (w, _msum(hs, (a,)))
+                        out.setdefault((c, f.result), []).append((None, item, None))
+        return out
+
+    def _fillers(self, arg, cf, side: dict, span):
+        """(class, need) for each way the span ``span``, whose items are
+        ``side``, can be the argument ``arg`` of a functor of class
+        ``cf``: the need is the side's item that proves it, or (class,
+        None) where the prover on the side decides."""
+        kind, own, rest = self.checks.kind(arg)
+        if kind == "gap":
+            # the side's class counts the argument's own hypotheses too,
+            # which are used up inside it
+            for c, g in side:
+                outer = _mdiff(c[1], own)
+                if outer is None:
+                    continue
+                joined = _join((c[0], outer), cf)
+                if joined and (g == rest or not isinstance(rest, Atom)
+                               and self.checks.derives(g, rest)):
+                    yield joined, (c, g)
+            # more hypotheses from outside than the classes count
+            for c in self._classes(span):
+                if c[1] and len(c[1]) + len(own) > _MAX_HYPS:
+                    joined = _join(c, cf)
+                    if joined:
+                        yield joined, (c, None)
+        elif kind == "other" or kind == "product" or isinstance(arg, Atom):
+            for c in self._classes(span):
+                joined = _join(c, cf)
+                if joined is None:
+                    continue
+                if kind == "other" or kind == "product" and c[1]:
+                    yield joined, (c, None)
+                elif (c, arg) in side:
+                    yield joined, (c, arg)
+        else:
+            for c, g in side:
+                joined = _join(c, cf)
+                if joined and self.checks.derives(g, arg):
+                    yield joined, (c, g)
+
+    @staticmethod
+    def _useful(items, n, roots) -> dict:
+        """The splits of each span that derive an item some derivation
+        of a root item needs, widest spans first.  A span whose argument
+        the prover decides keeps every split, as do the spans inside."""
+        needs = {span: set() for span in items}
+        needs[0, n].update(roots)
+        every: set = set()
+        splits: dict = {}
+        for width in range(n, 1, -1):
+            for i in range(n - width + 1):
+                j = i + width
+                if (i, j) in every:
+                    splits[i, j] = range(i + 1, j)
+                    for k in range(i + 1, j):
+                        every.update(((i, k), (k, j)))
+                    continue
+                todo = list(needs[i, j])
+                seen = set(todo)
+                ks = set()
+                while todo:
+                    for k, left, right in items[i, j][todo.pop()]:
+                        if k is None:
+                            if left not in seen:
+                                seen.add(left)
+                                todo.append(left)
+                            continue
+                        ks.add(k)
+                        for span, need in (((i, k), left), ((k, j), right)):
+                            if need[1] is None:
+                                every.add(span)
+                            else:
+                                needs[span].add(need)
+                if ks:
+                    splits[i, j] = sorted(ks)
+        return splits
+
+    # -- one candidate
+
+    def admits(self, tree) -> bool:
+        """Whether ``tree``, wrap included, can reduce to the goal."""
+        return self.goal in self._sets(tree)[0].get((), ())
+
+    def _sets(self, tree):
+        """What ``tree`` fully reduces to, per multiset of hypotheses it
+        holds, and whether it holds a wrap.  The sets of wrap-free
+        subtrees, which the enumerator shares, are kept; the table holds
+        each subtree with them, so that its ``id`` is not reused by
+        another tree while the table lives."""
+        hit = self._nodes.get(id(tree))
+        if hit is not None:
+            return hit[1]
+        if isinstance(tree, BracketLeaf):
+            sets, wrapped = {(): {self.types[tree.index]}}, False
+        else:
+            l, r = tree.left, tree.right
+            sl, wl = self._sets(l)
+            sr, wr = self._sets(r)
+            sets = {}
+            self._apply(sets, sl, r, Over)
+            self._apply(sets, sr, l, Under)
+            wrapped = wl or wr
+        if tree.wrap:
+            # unlock; no hypothesis can enter an island
+            sets = {(): {f.body for f in sets.get((), ())
+                         if isinstance(f, Box) and f.mode is Mode.I}}
+            wrapped = True
+        for size in range(_MAX_HYPS):
+            for hs in [hs for hs in sets if len(hs) == size]:
+                for f in list(sets[hs]):
+                    for a in self.names:
+                        if self.checks.consumes(f, a):
+                            sets.setdefault(_msum(hs, (a,)), set()).add(f.result)
+        value = (sets, wrapped)
+        if not wrapped:
+            self._nodes[id(tree)] = (tree, value)
+        return value
+
+    def _apply(self, sets, functors, arg_tree, slash) -> None:
+        """Add to ``sets`` the results of the functors of type ``slash``
+        in ``functors`` (per hypotheses held) applied to ``arg_tree``
+        holding any hypotheses."""
+        for hf, fs in functors.items():
+            for ha in self.hyp_sets:
+                if len(hf) + len(ha) > _MAX_HYPS:
+                    continue
+                for f in fs:
+                    if isinstance(f, slash) and self._proves(arg_tree, f.arg, ha):
+                        sets.setdefault(_msum(hf, ha), set()).add(f.result)
+
+    def _proves(self, tree, arg, hyps: tuple) -> bool:
+        """Whether ``tree``, holding the hypotheses ``hyps``, proves
+        ``arg``, or may."""
+        kind, own, rest = self.checks.kind(arg)
+        if kind == "simple":
+            return self.checks.any_derives(self._sets(tree)[0].get(hyps, ()), arg)
+        if kind == "gap":
+            total = _msum(hyps, own)
+            return len(total) > _MAX_HYPS or self.checks.any_derives(
+                self._sets(tree)[0].get(total, ()), rest)
+        if kind == "product":
+            return bool(hyps) or (
+                isinstance(tree, BracketNode) and not tree.wrap
+                and self._proves(tree.left, arg.left, ())
+                and self._proves(tree.right, arg.right, ())
+            )
+        ante = self.antecedent(tree)
+        for a in hyps:
+            ante = Tensor(ante, self.checks.hyp(a))
+        return self.checks.derives(ante, arg)
+
+
 @dataclass
 class SentenceParse:
     bracketing: "BracketNode | BracketLeaf"
@@ -843,7 +1272,73 @@ class SentenceResult:
         return bool(self.parses)
 
 
-MAX_SEARCH_WORDS = 10
+def _candidates(choices, goal, trees, explicit, config, charted, failures) -> Iterator:
+    """The candidates of a sentence search, in order, as (assignment,
+    tree, antecedent): per lexical assignment, each tree of ``trees``
+    bare, then with each island wrap, in the classes that pass the count
+    check.  Goals the prover will not see are recorded in ``failures``.
+
+    With ``charted``, only the first candidate of an assignment comes
+    before its chart is built: short sentences are often proved by it,
+    for less than the chart costs.  After it, only the candidates the
+    chart admits come."""
+    checks = _Checks(config) if charted else None
+    for assignment in itertools.product(*choices):
+        memo: dict = {}
+        antecedent = lambda tree: _antecedent(tree, assignment, memo)
+        locked = set() if explicit else {
+            i for i, t in enumerate(assignment) if _locked(t)
+        }
+        bare, wrapped = True, bool(locked)
+        first = next(iter(trees))
+        if config.count_pruning:
+            root = antecedent(first)
+            bare = count_vector(root) == count_vector(goal)
+            wrapped = wrapped and count_vector(Dia(Mode.I, root)) == count_vector(goal)
+            if not (bare or wrapped):
+                failures.record_failure(root, goal)
+                continue
+
+        def candidates(tree):
+            if bare:
+                yield tree, antecedent(tree)
+            if wrapped:
+                yield from _island_wraps(tree, locked, antecedent)
+
+        if checks is None:
+            for tree in trees:
+                for cand, ante in candidates(tree):
+                    yield assignment, cand, ante
+            continue
+        tried, ante = next(candidates(first))
+        yield assignment, tried, ante
+        chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped,
+                       antecedent, checks)
+        # A failed candidate's deepest failed goal is its own root goal
+        # (no modelled type puts an <x> diamond where a structural rule
+        # could move it at the root, and every other goal is smaller), and
+        # every candidate of a class has an antecedent of one size, so the
+        # first candidate of each class stands for all those the chart
+        # skips.
+        if bare:
+            failures.record_failure(root, goal)
+        if wrapped:
+            failures.record_failure(next(_island_wraps(first, locked, antecedent))[1], goal)
+        for tree in chart.trees():
+            for cand, ante in candidates(tree):
+                # the candidate tried first can only come first here
+                if tried is not None:
+                    tried, seen = None, cand == tried
+                    if seen:
+                        continue
+                if chart.admits(cand):
+                    yield assignment, cand, ante
+
+
+MAX_SEARCH_WORDS = 14
+# Without the chart every bracketing goes to the prover, so that search
+# keeps the smaller cap.
+MAX_UNCHARTED_WORDS = 10
 
 
 def derive_sentence(
@@ -873,6 +1368,16 @@ def derive_sentence(
     classes, each skipped whole when its counts differ (an explicit
     bracketing is one class).  When both are skipped, the
     assignment's goal still counts as a failed one for the diagnostics.
+
+    ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
+    unbracketed search with an atomic goal whose words' types it models
+    (every bundled one).  Per assignment, it tabulates what each span can
+    reduce to, enumerates only the bracketings whose every split can
+    reach the goal, and hands ``Prover.prove`` only the candidates whose
+    own root can, besides each assignment's first candidate, which goes
+    to the prover before the chart is built.  The order of the
+    candidates, and so the first parse's bracketing, is unchanged.  Such a search is capped at ``MAX_SEARCH_WORDS`` words,
+    any other unbracketed one at ``MAX_UNCHARTED_WORDS``.
     """
     config = config or SearchConfig()
     if hasattr(lexicon, "types"):
@@ -888,11 +1393,19 @@ def derive_sentence(
             raise ProverError(f"word {w!r} has no types in the lexicon")
         choices.append(entry_types)
 
+    charted = False
     if bracketing is None:
-        if len(words) > MAX_SEARCH_WORDS:
+        charted = (
+            config.count_pruning
+            and isinstance(goal, Atom)
+            and all(_reducible(t) for types in choices for t in types)
+        )
+        cap = MAX_SEARCH_WORDS if charted else MAX_UNCHARTED_WORDS
+        if len(words) > cap:
             raise ProverError(
-                f"bracketing search is capped at {MAX_SEARCH_WORDS} words; "
-                "pass an explicit bracketing"
+                f"bracketing search is capped at {cap} words"
+                + ("" if charted else " for this goal and these types")
+                + "; pass an explicit bracketing"
             )
         trees = _bracketings(len(words))
         explicit = False
@@ -908,40 +1421,20 @@ def derive_sentence(
     parses: list[SentenceParse] = []
     bounded = False
     failures = SearchStats()
-    for assignment in itertools.product(*choices):
-        memo: dict = {}
-        antecedent = lambda tree: _antecedent(tree, assignment, memo)
-        locked = set() if explicit else {
-            i for i, t in enumerate(assignment) if _locked(t)
-        }
-        bare, wrapped = True, bool(locked)
-        if config.count_pruning:
-            root = antecedent(next(iter(trees)))
-            bare = count_vector(root) == count_vector(goal)
-            wrapped = wrapped and count_vector(Dia(Mode.I, root)) == count_vector(goal)
-            if not (bare or wrapped):
-                failures.record_failure(root, goal)
-                continue
-        for tree in trees:
-            candidates = [(tree, antecedent(tree))] if bare else []
-            if wrapped:
-                candidates = itertools.chain(
-                    candidates, _island_wraps(tree, locked, antecedent)
-                )
-            for cand, ante in candidates:
-                result = prover.prove(Arrow(ante, goal))
-                bounded = bounded or result.bounded
-                deepest = result.stats.deepest_failure
-                if deepest is not None:
-                    failures.record_failure(deepest.source, deepest.target)
-                for proof in result.proofs:
-                    parses.append(SentenceParse(cand, tuple(assignment), ante, proof))
-                    if not config.find_all:
-                        return SentenceResult(
-                            tuple(parses), bounded, "derivable"
-                        )
-                if config.find_all and len(parses) >= config.max_proofs:
-                    return SentenceResult(tuple(parses), bounded, "derivable")
+    for assignment, cand, ante in _candidates(
+        choices, goal, trees, explicit, config, charted, failures
+    ):
+        result = prover.prove(Arrow(ante, goal))
+        bounded = bounded or result.bounded
+        deepest = result.stats.deepest_failure
+        if deepest is not None:
+            failures.record_failure(deepest.source, deepest.target)
+        for proof in result.proofs:
+            parses.append(SentenceParse(cand, assignment, ante, proof))
+            if not config.find_all:
+                return SentenceResult(tuple(parses), bounded, "derivable")
+        if config.find_all and len(parses) >= config.max_proofs:
+            return SentenceResult(tuple(parses), bounded, "derivable")
     if parses:
         return SentenceResult(tuple(parses), bounded, "derivable")
     diag = "no bracketing succeeded"

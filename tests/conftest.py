@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from lambeksem.diagram import Builder, Diagram
-from lambeksem.formula import Atom, Box, Dia, Formula, Mode, Over, Tensor, Under
+from lambeksem.formula import (
+    Atom, Box, Dia, Formula, Mode, Over, Tensor, Under, count_vector,
+)
+from lambeksem.prover import (
+    SearchConfig,
+    _antecedent,
+    _bracketings,
+    _Chart,
+    _Checks,
+    _island_wraps,
+    _locked,
+    _reducible,
+    format_bracketing,
+)
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
 
@@ -132,3 +146,45 @@ def rng():
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
+
+
+def sentence_candidates(lex, words, goal):
+    """Each candidate of the unbracketed search for ``words -> goal`` in
+    a class the count check keeps, in search order, as (antecedent,
+    admitted, fits): ``admitted`` says whether the chart lets it reach
+    the prover, and ``fits`` whether the chart's check of the candidate
+    alone would, with no split pruned; both are None where no chart is
+    built."""
+    choices = [lex.types(w) for w in words]
+    charted = isinstance(goal, Atom) and all(
+        _reducible(t) for types in choices for t in types)
+    checks = _Checks(SearchConfig()) if charted else None
+    want = count_vector(goal)
+    for assignment in itertools.product(*choices):
+        memo: dict = {}
+        antecedent = lambda tree: _antecedent(tree, assignment, memo)
+        locked = {i for i, t in enumerate(assignment) if _locked(t)}
+        root = antecedent(next(iter(_bracketings(len(words)))))
+        bare = count_vector(root) == want
+        wrapped = bool(locked) and count_vector(Dia(Mode.I, root)) == want
+
+        def candidates(tree):
+            if bare:
+                yield tree, antecedent(tree)
+            if wrapped:
+                yield from _island_wraps(tree, locked, antecedent)
+
+        chart = None
+        if checks is not None:
+            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped,
+                           antecedent, checks)
+            admitted = {format_bracketing(cand, words)
+                        for tree in chart.trees()
+                        for cand, _ in candidates(tree) if chart.admits(cand)}
+        for tree in _bracketings(len(words)):
+            for cand, ante in candidates(tree):
+                if chart is None:
+                    yield ante, None, None
+                else:
+                    yield (ante, format_bracketing(cand, words) in admitted,
+                           chart.admits(cand))

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from lambeksem.formula import count_vector, parse_formula, print_formula
+from lambeksem.formula import Atom, Tensor, count_vector, parse_formula, print_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,
+    MAX_UNCHARTED_WORDS,
     Arrow,
     BracketLeaf,
     BracketNode,
@@ -15,6 +16,9 @@ from lambeksem.prover import (
     Prover,
     ProverError,
     SearchConfig,
+    _antecedent,
+    _Chart,
+    _Checks,
     _strip,
     alpha,
     coev_box,
@@ -40,7 +44,7 @@ from lambeksem.prover import (
     sigma,
     validate,
 )
-from conftest import composable_proof_pairs, random_formula
+from conftest import composable_proof_pairs, random_formula, sentence_candidates
 from test_acceptance import CRITERION_1_SUITE
 
 
@@ -182,11 +186,14 @@ def test_search_meets_only_count_matching_goals(monkeypatch):
 
     monkeypatch.setattr(Prover, "_search", checked)
     lex = builtin_lexicon()
-    for sentence, goal, bracketing, want in CRITERION_1_SUITE:
-        result = derive_sentence(
-            lex, sentence.split(), parse_formula(goal), bracketing=bracketing
-        )
-        assert result.ok == want, sentence
+    # every parse too, as the chart leaves the first-parse search few goals
+    for config in (SearchConfig(), SearchConfig(find_all=True, max_proofs=6)):
+        for sentence, goal, bracketing, want in CRITERION_1_SUITE:
+            result = derive_sentence(
+                lex, sentence.split(), parse_formula(goal), bracketing=bracketing,
+                config=config,
+            )
+            assert result.ok == want, sentence
     sentence_calls = len(calls)
     assert sentence_calls > 1000
     # random goals: the arrow pairs composable_proof_pairs draws and
@@ -416,6 +423,21 @@ def test_derive_sentence_word_cap_without_bracketing():
     words = ["Bob"] * (MAX_SEARCH_WORDS + 1)
     with pytest.raises(ProverError, match="bracketing"):
         derive_sentence(lex, words, parse_formula("s"))
+    # the chart prunes searches up to the cap: the 13-word control
+    # sentence needs no recorded bracketing
+    words = "this is a candidate whom I would persuade every friend of to_vote for".split()
+    assert len(words) <= MAX_SEARCH_WORDS
+    r = derive_sentence(lex, words, parse_formula("s"))
+    assert format_bracketing(r.parses[0].bracketing, words) == (
+        "(this (is (a (candidate (whom ((I (would (persuade (every (friend of))))) "
+        "(to_vote for)))))))"
+    )
+    # a search the chart cannot prune keeps the smaller cap
+    words = "know which papers Bob will reject the proposal without reading carefully".split()
+    assert MAX_UNCHARTED_WORDS < len(words) <= MAX_SEARCH_WORDS
+    for goal, config in (("np\\s", SearchConfig()), ("s", SearchConfig(count_pruning=False))):
+        with pytest.raises(ProverError, match=f"capped at {MAX_UNCHARTED_WORDS} words"):
+            derive_sentence(lex, words, parse_formula(goal), config=config)
 
 
 def test_derive_sentence_negative_is_exhaustive():
@@ -445,3 +467,60 @@ def test_derive_sentence_with_explicit_bracketing():
     with pytest.raises(ProverError, match="in order"):
         derive_sentence(lex, words, np_,
                         bracketing=BracketNode(BracketLeaf(1), BracketLeaf(0)))
+
+
+def test_chart_rejects_a_gap_outside_the_island_without_the_candidates(monkeypatch):
+    lex = builtin_lexicon()
+    words, goal = "papers that Bob left Bob without reading".split(), parse_formula("n")
+    candidates = sum(1 for _ in sentence_candidates(lex, words, goal))
+    calls = []
+    prove_ = Prover.prove
+    monkeypatch.setattr(Prover, "prove", lambda self, g: calls.append(g) or prove_(self, g))
+    r = derive_sentence(lex, words, goal)
+    assert not r.ok and not r.bounded
+    assert len(calls) < candidates
+
+
+def search_outcome(result, words):
+    return (result.ok, result.bounded, result.diagnostics,
+            [(format_bracketing(p.bracketing, words), p.types, proof_to_json(p.proof))
+             for p in result.parses])
+
+
+def test_inputs_the_chart_does_not_model_search_as_unpruned():
+    # non-atomic goals, and the two-gap "whom", whose argument is a
+    # product of two arguments with a hypothesis each
+    lex = builtin_lexicon()
+    for text, goal in [
+        ("rejected the paper", "np\\s"),
+        ("Bob rejected", "s/<x>[x]np"),
+        ("Bob rejected the", "s/n"),
+        ("candidate whom Bob persuaded to_vote for", "n"),
+        ("candidate whom Bob persuaded", "n"),
+    ]:
+        words = text.split()
+        got = derive_sentence(lex, words, parse_formula(goal))
+        want = derive_sentence(lex, words, parse_formula(goal),
+                               config=SearchConfig(count_pruning=False))
+        assert search_outcome(got, words) == search_outcome(want, words), text
+
+
+def test_id_keyed_chart_tables_hold_their_keys():
+    # trees built and dropped one after another often reuse an id; a
+    # table that did not hold its keys would answer for the dropped tree
+    types = [parse_formula(t) for t in ("np", "(np\\s)/np", "np")]
+    memo: dict = {}
+    antecedent = lambda tree: _antecedent(tree, types, memo)
+    chart = _Chart(types, set(), Atom("s"), [0], antecedent, _Checks(SearchConfig()))
+    leaves = [BracketLeaf(i) for i in range(3)]
+    for _ in range(20):
+        left = BracketNode(BracketNode(leaves[0], leaves[1]), leaves[2])
+        assert not chart.admits(left)
+        assert antecedent(left) == Tensor(Tensor(types[0], types[1]), types[2])
+        del left
+        right = BracketNode(leaves[0], BracketNode(leaves[1], leaves[2]))
+        assert chart.admits(right)
+        assert antecedent(right) == Tensor(types[0], Tensor(types[1], types[2]))
+        del right
+    for table in (memo, chart._nodes):
+        assert all(key == id(entry[0]) for key, entry in table.items())
