@@ -298,7 +298,8 @@ class SearchConfig:
     hypothesis can cause.  ``count_pruning`` compares atom and modal
     counts once per top-level goal and once per branch, before the branch
     is built; it also turns on the chart of :func:`derive_sentence`, which
-    keeps from the prover the candidates that cannot reach the goal.
+    keeps from the prover the bracketings with a split that cannot reach
+    the goal.
     Disabling ``memoize`` or ``count_pruning`` is only useful for
     conservativity tests; ``count_pruning=False`` is the unpruned
     reference.
@@ -642,20 +643,30 @@ class BracketLeaf:
     wrap: bool = False
 
 
-def _in_word_order(tree, n: int) -> bool:
-    """True when the leaves of ``tree``, left to right, are the words
-    0..n-1 in order."""
-    stack = [tree]
-    expected = 0
+_TOO_DEEP = f"bracketing nests deeper than {MAX_DEPTH} levels"
+
+
+def _explicit_wrap(tree, n: int) -> bool:
+    """Whether the explicit bracketing ``tree`` has an island wrap.  Its
+    leaves, left to right, must be the words 0..n-1 in order, and it may
+    nest no deeper than a parsed one; ProverError otherwise."""
+    out_of_order = "bracketing leaves must be the sentence words in order"
+    stack = [(tree, 1)]
+    expected, wrap = 0, False
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ProverError(_TOO_DEEP)
+        wrap = wrap or node.wrap
         if isinstance(node, BracketNode):
-            stack += (node.right, node.left)
+            stack += ((node.right, depth + 1), (node.left, depth + 1))
         elif node.index != expected:
-            return False
+            raise ProverError(out_of_order)
         else:
             expected += 1
-    return expected == n
+    if expected != n:
+        raise ProverError(out_of_order)
+    return wrap
 
 
 def format_bracketing(tree, words: Sequence[str]) -> str:
@@ -681,9 +692,7 @@ def parse_bracketing(text: str, words: Sequence[str]):
     def node(depth: int):
         nonlocal pos, next_word
         if depth > MAX_DEPTH:
-            raise ProverError(
-                f"bracketing nests deeper than {MAX_DEPTH} levels"
-            )
+            raise ProverError(_TOO_DEEP)
         wrap = False
         tok = peek()
         if tok == "i:":
@@ -764,14 +773,6 @@ def _bracketings(n: int, splits: Mapping | None = None) -> _Trees:
             ks = range(i + 1, j) if splits is None else splits.get((i, j), ())
             spans[i, j] = _Trees([], _joined([(spans[i, k], spans[k, j]) for k in ks]))
     return spans[0, n]
-
-
-def _has_wrap(tree) -> bool:
-    if tree.wrap:
-        return True
-    if isinstance(tree, BracketLeaf):
-        return False
-    return _has_wrap(tree.left) or _has_wrap(tree.right)
 
 
 def _locked(f: Formula) -> bool:
@@ -979,13 +980,6 @@ class _Checks:
             ok = self._derives[key] = result.ok or result.bounded
         return ok
 
-    def any_derives(self, sources, target: Formula) -> bool:
-        """Whether a formula some constituent fully reduces to proves
-        ``target``; such a formula proves an atom only by being it."""
-        if isinstance(target, Atom):
-            return target in sources
-        return any(self.derives(f, target) for f in sources)
-
     def consumes(self, f: Formula, a: str) -> bool:
         """Whether ``f`` takes the hypothesis ``<x>[x]a`` at its right."""
         return isinstance(f, Over) and self.derives(self.hyp(a), f.arg)
@@ -1012,22 +1006,21 @@ class _Chart:
     i..j-1 and keeps, for each, the splits and items that derive it
     (there the prover's part is assumed to succeed).  Read down from the
     goal, they give the splits a candidate can use at each span
-    (``splits``).  ``admits`` then computes the items of one candidate
-    tree itself.
+    (``splits``).  A tree whose every node uses such a split may still
+    not reach the goal, since a split is kept for any item some tree
+    needs there; ``Prover.prove`` decides every tree the chart yields.
 
-    Every check errs towards admitting: a cut prover counts as a proof,
+    Every check errs towards keeping: a cut prover counts as a proof,
     and a constituent that would hold more than ``_MAX_HYPS`` hypotheses,
     or one from outside inside a product argument, is assumed to prove
     what it must.  So a candidate the prover can prove at any budget is
-    never refused.
+    never skipped.
     """
 
-    def __init__(self, types, locked, goal, roots, antecedent, checks: _Checks):
+    def __init__(self, types, locked, goal, roots, checks: _Checks):
         """``roots`` lists the wrap counts, 0 or 1, of the candidate
         classes that passed the count check."""
-        self.types, self.goal = types, goal
-        self.antecedent, self.checks = antecedent, checks
-        self._nodes: dict = {}
+        self.types, self.checks = types, checks
         n = self.n = len(types)
         # the product arguments and the hypotheses the types can add
         self.products = set()
@@ -1178,80 +1171,6 @@ class _Chart:
                     splits[i, j] = sorted(ks)
         return splits
 
-    # -- one candidate
-
-    def admits(self, tree) -> bool:
-        """Whether ``tree``, wrap included, can reduce to the goal."""
-        return self.goal in self._sets(tree)[0].get((), ())
-
-    def _sets(self, tree):
-        """What ``tree`` fully reduces to, per multiset of hypotheses it
-        holds, and whether it holds a wrap.  The sets of wrap-free
-        subtrees, which the enumerator shares, are kept; the table holds
-        each subtree with them, so that its ``id`` is not reused by
-        another tree while the table lives."""
-        hit = self._nodes.get(id(tree))
-        if hit is not None:
-            return hit[1]
-        if isinstance(tree, BracketLeaf):
-            sets, wrapped = {(): {self.types[tree.index]}}, False
-        else:
-            l, r = tree.left, tree.right
-            sl, wl = self._sets(l)
-            sr, wr = self._sets(r)
-            sets = {}
-            self._apply(sets, sl, r, Over)
-            self._apply(sets, sr, l, Under)
-            wrapped = wl or wr
-        if tree.wrap:
-            # unlock; no hypothesis can enter an island
-            sets = {(): {f.body for f in sets.get((), ())
-                         if isinstance(f, Box) and f.mode is Mode.I}}
-            wrapped = True
-        for size in range(_MAX_HYPS):
-            for hs in [hs for hs in sets if len(hs) == size]:
-                for f in list(sets[hs]):
-                    for a in self.names:
-                        if self.checks.consumes(f, a):
-                            sets.setdefault(_msum(hs, (a,)), set()).add(f.result)
-        value = (sets, wrapped)
-        if not wrapped:
-            self._nodes[id(tree)] = (tree, value)
-        return value
-
-    def _apply(self, sets, functors, arg_tree, slash) -> None:
-        """Add to ``sets`` the results of the functors of type ``slash``
-        in ``functors`` (per hypotheses held) applied to ``arg_tree``
-        holding any hypotheses."""
-        for hf, fs in functors.items():
-            for ha in self.hyp_sets:
-                if len(hf) + len(ha) > _MAX_HYPS:
-                    continue
-                for f in fs:
-                    if isinstance(f, slash) and self._proves(arg_tree, f.arg, ha):
-                        sets.setdefault(_msum(hf, ha), set()).add(f.result)
-
-    def _proves(self, tree, arg, hyps: tuple) -> bool:
-        """Whether ``tree``, holding the hypotheses ``hyps``, proves
-        ``arg``, or may."""
-        kind, own, rest = self.checks.kind(arg)
-        if kind == "simple":
-            return self.checks.any_derives(self._sets(tree)[0].get(hyps, ()), arg)
-        if kind == "gap":
-            total = _msum(hyps, own)
-            return len(total) > _MAX_HYPS or self.checks.any_derives(
-                self._sets(tree)[0].get(total, ()), rest)
-        if kind == "product":
-            return bool(hyps) or (
-                isinstance(tree, BracketNode) and not tree.wrap
-                and self._proves(tree.left, arg.left, ())
-                and self._proves(tree.right, arg.right, ())
-            )
-        ante = self.antecedent(tree)
-        for a in hyps:
-            ante = Tensor(ante, self.checks.hyp(a))
-        return self.checks.derives(ante, arg)
-
 
 @dataclass
 class SentenceParse:
@@ -1280,8 +1199,8 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
 
     With ``charted``, only the first candidate of an assignment comes
     before its chart is built: short sentences are often proved by it,
-    for less than the chart costs.  After it, only the candidates the
-    chart admits come."""
+    for less than the chart costs.  After it come the candidates over the
+    trees the chart yields, which ``Prover.prove`` decides one by one."""
     checks = _Checks(config) if charted else None
     for assignment in itertools.product(*choices):
         memo: dict = {}
@@ -1305,34 +1224,30 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
             if wrapped:
                 yield from _island_wraps(tree, locked, antecedent)
 
-        if checks is None:
-            for tree in trees:
-                for cand, ante in candidates(tree):
-                    yield assignment, cand, ante
-            continue
-        tried, ante = next(candidates(first))
-        yield assignment, tried, ante
-        chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped,
-                       antecedent, checks)
-        # A failed candidate's deepest failed goal is its own root goal
-        # (no modelled type puts an <x> diamond where a structural rule
-        # could move it at the root, and every other goal is smaller), and
-        # every candidate of a class has an antecedent of one size, so the
-        # first candidate of each class stands for all those the chart
-        # skips.
-        if bare:
-            failures.record_failure(root, goal)
-        if wrapped:
-            failures.record_failure(next(_island_wraps(first, locked, antecedent))[1], goal)
-        for tree in chart.trees():
+        tried, rest = None, trees
+        if checks is not None:
+            tried, ante = next(candidates(first))
+            yield assignment, tried, ante
+            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped, checks)
+            rest = chart.trees()
+            # A failed candidate's deepest failed goal is its own root goal
+            # (no modelled type puts an <x> diamond where a structural rule
+            # could move it at the root, and every other goal is smaller),
+            # and every candidate of a class has an antecedent of one size,
+            # so the first candidate of each class stands for all those the
+            # chart skips.
+            if bare:
+                failures.record_failure(root, goal)
+            if wrapped:
+                failures.record_failure(next(_island_wraps(first, locked, antecedent))[1], goal)
+        for tree in rest:
             for cand, ante in candidates(tree):
                 # the candidate tried first can only come first here
                 if tried is not None:
                     tried, seen = None, cand == tried
                     if seen:
                         continue
-                if chart.admits(cand):
-                    yield assignment, cand, ante
+                yield assignment, cand, ante
 
 
 MAX_SEARCH_WORDS = 14
@@ -1372,12 +1287,13 @@ def derive_sentence(
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
     unbracketed search with an atomic goal whose words' types it models
     (every bundled one).  Per assignment, it tabulates what each span can
-    reduce to, enumerates only the bracketings whose every split can
-    reach the goal, and hands ``Prover.prove`` only the candidates whose
-    own root can, besides each assignment's first candidate, which goes
-    to the prover before the chart is built.  The order of the
-    candidates, and so the first parse's bracketing, is unchanged.  Such a search is capped at ``MAX_SEARCH_WORDS`` words,
-    any other unbracketed one at ``MAX_UNCHARTED_WORDS``.
+    reduce to and enumerates only the bracketings whose every split can
+    reach the goal; ``Prover.prove`` decides each of their candidates,
+    and each assignment's first candidate, which goes to the prover
+    before the chart is built.  The order of the candidates, and so the
+    first parse's bracketing, is unchanged.  Such a search is capped at
+    ``MAX_SEARCH_WORDS`` words, any other unbracketed one at
+    ``MAX_UNCHARTED_WORDS``.
     """
     config = config or SearchConfig()
     if hasattr(lexicon, "types"):
@@ -1412,10 +1328,8 @@ def derive_sentence(
     else:
         if isinstance(bracketing, str):
             bracketing = parse_bracketing(bracketing, words)
-        if not _in_word_order(bracketing, len(words)):
-            raise ProverError("bracketing leaves must be the sentence words in order")
         trees = (bracketing,)
-        explicit = _has_wrap(bracketing)
+        explicit = _explicit_wrap(bracketing, len(words))
 
     prover = Prover(config)
     parses: list[SentenceParse] = []

@@ -29,6 +29,10 @@ class TensorError(ValueError):
     pass
 
 
+# The most entries a store generates for one tensor (128 MiB of float64).
+MAX_TENSOR_ELEMENTS = 2**24
+
+
 @dataclass
 class TensorValue:
     """An array with one named space per axis."""
@@ -94,8 +98,14 @@ class TensorStore:
             raise TensorError(f"tensor {name!r} is not in the store")
         digest = hashlib.sha256(name.encode("utf-8")).digest()
         key = int.from_bytes(digest, "big") ^ self.seed
+        shape = self.shape(spaces)
+        if math.prod(shape) > MAX_TENSOR_ELEMENTS:
+            raise TensorError(
+                f"tensor {name!r} of shape {shape} has more than "
+                f"{MAX_TENSOR_ELEMENTS} entries"
+            )
         rng = np.random.Generator(np.random.PCG64(key))
-        arr = rng.random(self.shape(spaces))
+        arr = rng.random(shape)
         self.set(name, spaces, arr)
         return self.tensors[name].array
 

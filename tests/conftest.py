@@ -151,10 +151,8 @@ def np_rng():
 def sentence_candidates(lex, words, goal):
     """Each candidate of the unbracketed search for ``words -> goal`` in
     a class the count check keeps, in search order, as (antecedent,
-    admitted, fits): ``admitted`` says whether the chart lets it reach
-    the prover, and ``fits`` whether the chart's check of the candidate
-    alone would, with no split pruned; both are None where no chart is
-    built."""
+    admitted): ``admitted`` says whether the candidate is over a tree the
+    chart yields, and is None where no chart is built."""
     choices = [lex.types(w) for w in words]
     charted = isinstance(goal, Atom) and all(
         _reducible(t) for types in choices for t in types)
@@ -174,17 +172,12 @@ def sentence_candidates(lex, words, goal):
             if wrapped:
                 yield from _island_wraps(tree, locked, antecedent)
 
-        chart = None
+        admitted = None
         if checks is not None:
-            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped,
-                           antecedent, checks)
+            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped, checks)
             admitted = {format_bracketing(cand, words)
-                        for tree in chart.trees()
-                        for cand, _ in candidates(tree) if chart.admits(cand)}
+                        for tree in chart.trees() for cand, _ in candidates(tree)}
         for tree in _bracketings(len(words)):
             for cand, ante in candidates(tree):
-                if chart is None:
-                    yield ante, None, None
-                else:
-                    yield (ante, format_bracketing(cand, words) in admitted,
-                           chart.admits(cand))
+                yield ante, (None if admitted is None
+                             else format_bracketing(cand, words) in admitted)

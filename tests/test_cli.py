@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lambeksem.cli import main
-from lambeksem.tensor import TensorStore
+from lambeksem.tensor import MAX_TENSOR_ELEMENTS, TensorStore
 
 
 def run(capsys, *argv):
@@ -246,6 +246,14 @@ def test_eval_bad_dims_exits_2(capsys):
         capsys, "eval", "Bob", "left", "the", "room", "--dims", "N=zero"
     )
     assert code == 2
+    # an N x S x N verb at these dims would need about 8 PB
+    code, out, err = run(
+        capsys, "eval", "papers", "that", "Bob", "rejected", "without",
+        "reading", "--goal", "n", "--dims", "N=100000,S=100000",
+    )
+    assert code == 2 and not out
+    assert err.startswith("error: tensor ")
+    assert f"(100000, 100000, 100000) has more than {MAX_TENSOR_ELEMENTS} entries" in err
 
 
 def test_eval_strict_store_missing_tensor_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lambeksem.formula import Atom, Tensor, count_vector, parse_formula, print_formula
+from lambeksem.formula import MAX_DEPTH, Tensor, count_vector, parse_formula, print_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,
@@ -17,8 +17,6 @@ from lambeksem.prover import (
     ProverError,
     SearchConfig,
     _antecedent,
-    _Chart,
-    _Checks,
     _strip,
     alpha,
     coev_box,
@@ -363,6 +361,17 @@ def test_memoization_and_pruning_are_conservative():
     assert format_bracketing(r1.parses[0].bracketing, text) == format_bracketing(
         r2.parses[0].bracketing, text
     ) == "(papers (that (Bob (rejected i:(without reading)))))"
+    # every parse: the other wrap candidates reach the prover too, and
+    # none of them is proved
+    every = SearchConfig(find_all=True, max_proofs=1000)
+    r1 = derive_sentence(lex, text, parse_formula("n"), config=every)
+    r2 = derive_sentence(lex, text, parse_formula("n"),
+                         config=SearchConfig(find_all=True, max_proofs=1000,
+                                             count_pruning=False))
+    assert search_outcome(r1, text) == search_outcome(r2, text)
+    assert len(r1.parses) == 120 and not r1.bounded
+    assert {format_bracketing(p.bracketing, text) for p in r1.parses} == {
+        "(papers (that (Bob (rejected i:(without reading)))))"}
     text = "papers that Bob left Bob without reading".split()
     r1 = derive_sentence(lex, text, parse_formula("n"), config=fast)
     r2 = derive_sentence(lex, text, parse_formula("n"),
@@ -460,6 +469,15 @@ def test_derive_sentence_with_explicit_bracketing():
     p = r.parses[0]
     assert format_bracketing(p.bracketing, words) == text
     assert validate(p.proof) == Arrow(p.antecedent, parse_formula("n"))
+    # a tree with a wrap gets no more: one wrap leaves the second adjunct
+    # locked
+    words = "Bob left the room without reading the paper before reading the report".split()
+    vp = "((left (the room)) i:(without (reading (the paper))))"
+    s = parse_formula("s")
+    for adjunct, ok in (("i:(before (reading (the report)))", True),
+                        ("(before (reading (the report)))", False)):
+        r = derive_sentence(lex, words, s, bracketing=f"(Bob ({vp} {adjunct}))")
+        assert r.ok == ok and not r.bounded
     # the leaves of an explicit tree must be the words in order: the search
     # rejects "room the", so a tree may not read it as "the room"
     words, np_ = ["room", "the"], parse_formula("np")
@@ -467,6 +485,23 @@ def test_derive_sentence_with_explicit_bracketing():
     with pytest.raises(ProverError, match="in order"):
         derive_sentence(lex, words, np_,
                         bracketing=BracketNode(BracketLeaf(1), BracketLeaf(0)))
+    # a tree built in code nests no deeper than a parsed one: right-
+    # branching, n words nest n levels
+    for n in (MAX_DEPTH, MAX_DEPTH + 1, 1500):
+        words = ["Bob"] * n
+        tree, text = BracketLeaf(n - 1, wrap=True), "i:Bob"
+        for i in range(n - 2, -1, -1):
+            tree, text = BracketNode(BracketLeaf(i), tree), f"(Bob {text})"
+        if n == MAX_DEPTH:
+            assert parse_bracketing(text, words) == tree
+            assert not derive_sentence(lex, words, s, bracketing=tree).ok
+            continue
+        with pytest.raises(ProverError) as parsed:
+            parse_bracketing(text, words)
+        with pytest.raises(ProverError) as built:
+            derive_sentence(lex, words, s, bracketing=tree)
+        assert str(built.value) == str(parsed.value)
+        assert "deeper than" in str(built.value)
 
 
 def test_chart_rejects_a_gap_outside_the_island_without_the_candidates(monkeypatch):
@@ -507,20 +542,16 @@ def test_inputs_the_chart_does_not_model_search_as_unpruned():
 
 def test_id_keyed_chart_tables_hold_their_keys():
     # trees built and dropped one after another often reuse an id; a
-    # table that did not hold its keys would answer for the dropped tree
+    # memo that did not hold its keys would answer for the dropped tree
     types = [parse_formula(t) for t in ("np", "(np\\s)/np", "np")]
     memo: dict = {}
     antecedent = lambda tree: _antecedent(tree, types, memo)
-    chart = _Chart(types, set(), Atom("s"), [0], antecedent, _Checks(SearchConfig()))
     leaves = [BracketLeaf(i) for i in range(3)]
     for _ in range(20):
         left = BracketNode(BracketNode(leaves[0], leaves[1]), leaves[2])
-        assert not chart.admits(left)
         assert antecedent(left) == Tensor(Tensor(types[0], types[1]), types[2])
         del left
         right = BracketNode(leaves[0], BracketNode(leaves[1], leaves[2]))
-        assert chart.admits(right)
         assert antecedent(right) == Tensor(types[0], Tensor(types[1], types[2]))
         del right
-    for table in (memo, chart._nodes):
-        assert all(key == id(entry[0]) for key, entry in table.items())
+    assert all(key == id(entry[0]) for key, entry in memo.items())
