@@ -279,12 +279,23 @@ def cmd_derive_type(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """A proof search budget: an integer, 0 or more."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = -1
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"want a budget of 0 or more, not {text!r}")
+    return size
+
+
 def _add_sentence_args(sub, goal_default="s"):
     sub.add_argument("words", nargs="+", help="sentence words")
     sub.add_argument("--lexicon", help="lexicon file (default: bundled)")
     sub.add_argument("--goal", default=goal_default, help="goal formula")
     sub.add_argument("--bracketing", help="explicit bracketing, e.g. (a (b c))")
-    sub.add_argument("--max-size", type=int, default=40,
+    sub.add_argument("--max-size", type=_budget, default=40,
                      help="proof search budget")
 
 

@@ -298,8 +298,8 @@ class SearchConfig:
     hypothesis can cause.  ``count_pruning`` compares atom and modal
     counts once per top-level goal and once per branch, before the branch
     is built; it also turns on the chart of :func:`derive_sentence`, which
-    keeps from the prover the bracketings with a split that cannot reach
-    the goal.
+    checks the goal as it checks any argument and keeps from the prover
+    the bracketings with a split that cannot reach it.
     Disabling ``memoize`` or ``count_pruning`` is only useful for
     conservativity tests; ``count_pruning=False`` is the unpruned
     reference.
@@ -931,6 +931,23 @@ def _simple(c: Formula) -> bool:
                 return False
 
 
+def _kind(arg: Formula):
+    """How a constituent is checked against the argument ``arg``, as
+    (kind, hypotheses, rest).  'gap': proving ``arg`` adds the
+    hypotheses ``<x>[x]a`` (their atoms, sorted) at its right and leaves
+    the simple ``rest``; 'product'; 'simple'; or 'other', for the prover
+    on the constituent itself."""
+    hyps, rest = [], arg
+    while isinstance(rest, Over) and (a := _hyp_atom(rest.arg)) is not None:
+        hyps.append(a)
+        rest = rest.result
+    if hyps and _simple(rest):
+        return "gap", tuple(sorted(hyps)), rest
+    if isinstance(arg, Tensor):
+        return "product", (), arg
+    return "simple" if _simple(arg) else "other", (), arg
+
+
 class _Checks:
     """The arrows the charts of one sentence search ask about, each
     decided once by a prover of their own, so that the search's prover
@@ -943,25 +960,7 @@ class _Checks:
         self._hyps: dict = {}
 
     def kind(self, arg: Formula):
-        """How a constituent is checked against the argument ``arg``, as
-        (kind, hypotheses, rest).  'gap': proving ``arg`` adds the
-        hypotheses ``<x>[x]a`` (their atoms, sorted) at its right and
-        leaves the simple ``rest``; 'product'; 'simple'; or 'other', for
-        the prover on the constituent itself."""
-        hit = self._kinds.get(arg)
-        if hit is None:
-            hyps, rest = [], arg
-            while isinstance(rest, Over) and (a := _hyp_atom(rest.arg)) is not None:
-                hyps.append(a)
-                rest = rest.result
-            if hyps and _simple(rest):
-                hit = "gap", tuple(sorted(hyps)), rest
-            elif isinstance(arg, Tensor):
-                hit = "product", (), arg
-            else:
-                hit = "simple" if _simple(arg) else "other", (), arg
-            self._kinds[arg] = hit
-        return hit
+        return self._kinds.get(arg) or self._kinds.setdefault(arg, _kind(arg))
 
     def hyp(self, a: str) -> Formula:
         f = self._hyps.get(a)
@@ -1005,10 +1004,11 @@ class _Chart:
     ``items[i, j]`` unites the items of every tree over the words
     i..j-1 and keeps, for each, the splits and items that derive it
     (there the prover's part is assumed to succeed).  Read down from the
-    goal, they give the splits a candidate can use at each span
-    (``splits``).  A tree whose every node uses such a split may still
-    not reach the goal, since a split is kept for any item some tree
-    needs there; ``Prover.prove`` decides every tree the chart yields.
+    items that prove the goal, checked as any argument is, they give the
+    splits a candidate can use at each span (``splits``).  A tree whose
+    every node uses such a split may still not reach the goal, since a
+    split is kept for any item some tree needs there; ``Prover.prove``
+    decides every tree the chart yields.
 
     Every check errs towards keeping: a cut prover counts as a proof,
     and a constituent that would hold more than ``_MAX_HYPS`` hypotheses,
@@ -1017,15 +1017,14 @@ class _Chart:
     never skipped.
     """
 
-    def __init__(self, types, locked, goal, roots, checks: _Checks):
-        """``roots`` lists the wrap counts, 0 or 1, of the candidate
-        classes that passed the count check."""
+    def __init__(self, types, locked, goal, wrap: int, checks: _Checks):
+        """``wrap`` is the wrap count, 0 or 1, of the candidates' class."""
         self.types, self.checks = types, checks
         n = self.n = len(types)
-        # the product arguments and the hypotheses the types can add
+        # the product arguments and the hypotheses the goal and types add
         self.products = set()
         names = set()
-        args = [f.arg for t in types for f in _spine(t) if isinstance(f, (Over, Under))]
+        args = [goal] + [f.arg for t in types for f in _spine(t) if isinstance(f, (Over, Under))]
         while args:
             arg = args.pop()
             kind, hyps, _ = checks.kind(arg)
@@ -1045,7 +1044,9 @@ class _Chart:
         for width in range(1, n + 1):
             for i in range(n - width + 1):
                 items[i, i + width] = self._span(items, i, i + width, i in locked)
-        self.roots = [((w, ()), goal) for w in roots if ((w, ()), goal) in items[0, n]]
+        # no hypothesis left over, none too many in the goal: no need is the prover's
+        self.roots = [need for c, need in self._fillers(goal, (0, ()), items[0, n], (0, n))
+                      if c == (wrap, ())]
         self.splits = self._useful(items, n, self.roots)
 
     def trees(self):
@@ -1115,7 +1116,7 @@ class _Chart:
                     yield joined, (c, g)
             # more hypotheses from outside than the classes count
             for c in self._classes(span):
-                if c[1] and len(c[1]) + len(own) > _MAX_HYPS:
+                if len(c[1]) + len(own) > _MAX_HYPS:
                     joined = _join(c, cf)
                     if joined:
                         yield joined, (c, None)
@@ -1195,12 +1196,14 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
     """The candidates of a sentence search, in order, as (assignment,
     tree, antecedent): per lexical assignment, each tree of ``trees``
     bare, then with each island wrap, in the classes that pass the count
-    check.  Goals the prover will not see are recorded in ``failures``.
+    check (one at most: a wrap adds one ``<i>``); when none passes, the
+    root goal is recorded in ``failures``.
 
     With ``charted``, only the first candidate of an assignment comes
     before its chart is built: short sentences are often proved by it,
     for less than the chart costs.  After it come the candidates over the
-    trees the chart yields, which ``Prover.prove`` decides one by one."""
+    trees the chart yields, which ``Prover.prove`` decides one by one;
+    the goal the first fails on is as large as any candidate's."""
     checks = _Checks(config) if charted else None
     for assignment in itertools.product(*choices):
         memo: dict = {}
@@ -1228,18 +1231,7 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
         if checks is not None:
             tried, ante = next(candidates(first))
             yield assignment, tried, ante
-            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped, checks)
-            rest = chart.trees()
-            # A failed candidate's deepest failed goal is its own root goal
-            # (no modelled type puts an <x> diamond where a structural rule
-            # could move it at the root, and every other goal is smaller),
-            # and every candidate of a class has an antecedent of one size,
-            # so the first candidate of each class stands for all those the
-            # chart skips.
-            if bare:
-                failures.record_failure(root, goal)
-            if wrapped:
-                failures.record_failure(next(_island_wraps(first, locked, antecedent))[1], goal)
+            rest = _Chart(assignment, locked, goal, int(wrapped), checks).trees()
         for tree in rest:
             for cand, ante in candidates(tree):
                 # the candidate tried first can only come first here
@@ -1248,6 +1240,14 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
                     if seen:
                         continue
                 yield assignment, cand, ante
+
+
+def _charted(choices, goal: Formula, config: SearchConfig) -> bool:
+    """Whether an unbracketed search for ``goal`` builds the chart: not for
+    an 'other' goal, nor one with more hypotheses than a class counts."""
+    kind, own, _ = _kind(goal)
+    return config.count_pruning and kind != "other" and len(own) <= _MAX_HYPS and all(
+        _reducible(t) for types in choices for t in types)
 
 
 MAX_SEARCH_WORDS = 14
@@ -1285,16 +1285,20 @@ def derive_sentence(
     assignment's goal still counts as a failed one for the diagnostics.
 
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
-    unbracketed search with an atomic goal whose words' types it models
-    (every bundled one).  Per assignment, it tabulates what each span can
-    reduce to and enumerates only the bracketings whose every split can
-    reach the goal; ``Prover.prove`` decides each of their candidates,
-    and each assignment's first candidate, which goes to the prover
-    before the chart is built.  The order of the candidates, and so the
-    first parse's bracketing, is unchanged.  Such a search is capped at
+    unbracketed search whose words' types it models (every bundled one),
+    unless the goal has a stripped hypothesis that is not plain, such as
+    ``s/<x>[x](gp\\gp)``, or more than two (:func:`_charted`).  Per
+    assignment, it tabulates what each span can reduce to and enumerates
+    only the bracketings whose every split can reach the goal;
+    ``Prover.prove`` decides each of their candidates, and each
+    assignment's first candidate, which goes to the prover before the
+    chart is built.  The order of the candidates, and so the first
+    parse's bracketing, is unchanged.  Such a search is capped at
     ``MAX_SEARCH_WORDS`` words, any other unbracketed one at
     ``MAX_UNCHARTED_WORDS``.
     """
+    if not words:
+        raise ProverError("no words to parse")
     config = config or SearchConfig()
     if hasattr(lexicon, "types"):
         lookup = lexicon.types
@@ -1309,13 +1313,8 @@ def derive_sentence(
             raise ProverError(f"word {w!r} has no types in the lexicon")
         choices.append(entry_types)
 
-    charted = False
+    charted = bracketing is None and _charted(choices, goal, config)
     if bracketing is None:
-        charted = (
-            config.count_pruning
-            and isinstance(goal, Atom)
-            and all(_reducible(t) for types in choices for t in types)
-        )
         cap = MAX_SEARCH_WORDS if charted else MAX_UNCHARTED_WORDS
         if len(words) > cap:
             raise ProverError(

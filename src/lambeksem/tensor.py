@@ -126,10 +126,20 @@ class TensorStore:
     @classmethod
     def from_json(cls, text: str, generate: bool = True) -> "TensorStore":
         doc = json.loads(text)
-        if doc.get("schema") != "tensors/1":
+        if not isinstance(doc, dict) or doc.get("schema") != "tensors/1":
             raise TensorError("unsupported tensor store schema")
-        store = cls(doc["dims"], doc.get("seed", 0), generate=generate)
-        for name, entry in doc.get("tensors", {}).items():
+        dims, seed, tensors = doc.get("dims"), doc.get("seed", 0), doc.get("tensors", {})
+        if not isinstance(dims, dict) or not all(type(d) is int for d in dims.values()):
+            raise TensorError("tensor store needs 'dims' mapping each space to a size")
+        if type(seed) is not int:
+            raise TensorError("tensor store 'seed' must be an integer")
+        if not isinstance(tensors, dict):
+            raise TensorError("tensor store 'tensors' must map names to entries")
+        store = cls(dims, seed, generate=generate)
+        for name, entry in tensors.items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("spaces"), list)
+                    and "data" in entry):
+                raise TensorError(f"tensor {name!r} needs a 'spaces' list and 'data'")
             spaces = tuple(entry["spaces"])
             arr = np.array(entry["data"], dtype=np.float64).reshape(store.shape(spaces))
             store.set(name, spaces, arr)

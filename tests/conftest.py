@@ -17,10 +17,10 @@ from lambeksem.prover import (
     _antecedent,
     _bracketings,
     _Chart,
+    _charted,
     _Checks,
     _island_wraps,
     _locked,
-    _reducible,
     format_bracketing,
 )
 
@@ -154,9 +154,7 @@ def sentence_candidates(lex, words, goal):
     admitted): ``admitted`` says whether the candidate is over a tree the
     chart yields, and is None where no chart is built."""
     choices = [lex.types(w) for w in words]
-    charted = isinstance(goal, Atom) and all(
-        _reducible(t) for types in choices for t in types)
-    checks = _Checks(SearchConfig()) if charted else None
+    checks = _Checks(SearchConfig()) if _charted(choices, goal, SearchConfig()) else None
     want = count_vector(goal)
     for assignment in itertools.product(*choices):
         memo: dict = {}
@@ -174,7 +172,7 @@ def sentence_candidates(lex, words, goal):
 
         admitted = None
         if checks is not None:
-            chart = _Chart(assignment, locked, goal, [0] * bare + [1] * wrapped, checks)
+            chart = _Chart(assignment, locked, goal, int(wrapped), checks)
             admitted = {format_bracketing(cand, words)
                         for tree in chart.trees() for cand, _ in candidates(tree)}
         for tree in _bracketings(len(words)):

@@ -174,6 +174,27 @@ def test_batch_undecided_marks_and_exit_codes(tmp_path, capsys):
     assert [r["verdict"] for r in doc["results"]] == ["undecided", "not derivable"]
 
 
+def test_batch_empty_sentence_exits_2(tmp_path, capsys):
+    batch = tmp_path / "sentences.txt"
+    batch.write_text("Bob left the room\n:: s\n")
+    code, out, err = run(capsys, "parse", "--batch", str(batch), "x")
+    assert code == 2 and not out
+    assert err == "error: no words to parse\n"
+
+
+def test_negative_budget_exits_2(capsys):
+    argv = ("parse", "Bob", "left", "the", "room", "--max-size")
+    for size in ("-1", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            run(capsys, *argv, size)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "error: argument --max-size: want a budget of 0 or more" in err
+    # an empty budget is a budget: the search is cut off at once
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 3 and out.startswith("undecided within budget: ")
+
+
 def test_compile_writes_files(tmp_path, capsys):
     prefix = tmp_path / "sentence"
     code, out, _ = run(
@@ -266,6 +287,24 @@ def test_eval_strict_store_missing_tensor_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "not in the store" in err
+
+
+def test_eval_malformed_store_exits_2(tmp_path, capsys):
+    dims = {"N": 2, "S": 2}
+    path = tmp_path / "store.json"
+    for doc in (
+        [],
+        {"schema": "tensors/1"},
+        {"schema": "tensors/1", "dims": [1]},
+        {"schema": "tensors/1", "dims": dims, "tensors": [1]},
+        {"schema": "tensors/1", "dims": dims, "tensors": {"Bob": {"spaces": ["N"]}}},
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "eval", "Bob", "left", "the", "room", "--store", str(path)
+        )
+        assert code == 2 and not out, doc
+        assert err.startswith("error: ") and "Traceback" not in err, doc
 
 
 def test_eval_zero_store_gives_zero_vector(tmp_path, capsys):

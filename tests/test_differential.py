@@ -11,7 +11,9 @@ oracle at small dimensions.
 The bracketing enumerator and the island-wrap walk of the sentence
 search are also compared, tree by tree, with the naive generators they
 replaced, kept here as the reference.  Every candidate the chart keeps
-from the prover is checked to be one the prover rejects.
+from the prover is checked to be one the prover rejects, for the
+patterns' atomic goals and for non-atomic goals made by peeling a word
+off a pattern's sentence.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import random
 import numpy as np
 
 from lambeksem.diagram import normalize
-from lambeksem.formula import Atom, Dia, Mode, Tensor, parse_formula
+from lambeksem.formula import Atom, Box, Dia, Mode, Over, Tensor, Under, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     Arrow,
@@ -152,10 +154,9 @@ def test_search_routes_and_evaluators_agree_on_drawn_sentences():
     assert oracle_checked >= parses // 2 > 0
 
 
-def chart_skips(lex, words, goal_text, prover):
+def chart_skips(lex, words, goal, prover):
     """How many candidates the chart keeps from the prover; each must be
     one the prover, at the default budget, exhausts without a proof."""
-    goal = parse_formula(goal_text)
     skipped = 0
     for ante, admitted in sentence_candidates(lex, words, goal):
         if admitted is False:
@@ -170,13 +171,49 @@ def test_chart_skips_only_candidates_the_prover_rejects():
     vocab = sorted({e.word for e in lex.entries})
     rng = random.Random(2021)
     for words, goal_text, _ in draw_sentences(rng, vocab, PATTERNS + (ISLAND, ATTACHMENT)):
-        chart_skips(lex, words, goal_text, Prover(SearchConfig()))
+        chart_skips(lex, words, parse_formula(goal_text), Prover(SearchConfig()))
     # the chart does skip candidates, with and without an island.  (It
     # is never built for "N that NP TV DET N": no class there passes the
     # count check.)
     for pattern, goal_text, _ in (("N that NP TV immediately", "n", True), ISLAND):
         words = substitute(rng, pattern)
-        assert chart_skips(lex, words, goal_text, Prover(SearchConfig())) > 0, pattern
+        goal = parse_formula(goal_text)
+        assert chart_skips(lex, words, goal, Prover(SearchConfig())) > 0, pattern
+
+
+def peeled(lex, words, goal):
+    """Non-atomic goals for the words left when one word is peeled off:
+    ``T\\goal`` for each type T of the first word, and ``goal/T`` and
+    ``goal/<x>[x]T`` for each type T of the last."""
+    for t in lex.types(words[0]):
+        yield words[1:], Under(t, goal)
+    for t in lex.types(words[-1]):
+        yield words[:-1], Over(goal, t)
+        yield words[:-1], Over(goal, Dia(Mode.X, Box(Mode.X, t)))
+
+
+# the unpruned reference on longer peeled sentences takes seconds
+PEELED_UNPRUNED_MAX_WORDS = 5
+
+
+def test_chart_checks_a_non_atomic_goal_as_an_argument():
+    lex = builtin_lexicon()
+    rng = random.Random(2022)
+    skipped, compared = {}, 0
+    for pattern, goal_text, _ in PATTERNS:
+        for words, goal in peeled(lex, substitute(rng, pattern), parse_formula(goal_text)):
+            key = str(goal)
+            skipped[key] = skipped.get(key, 0) + chart_skips(
+                lex, words, goal, Prover(SearchConfig()))
+            if len(words) <= PEELED_UNPRUNED_MAX_WORDS:
+                compared += 1
+                default = derive_sentence(lex, words, goal, config=DEFAULT)
+                unpruned = derive_sentence(lex, words, goal, config=UNPRUNED)
+                assert (default.ok, default.bounded) == (
+                    unpruned.ok, unpruned.bounded), (words, key)
+    assert compared >= 20
+    # the chart skips candidates for a slash goal and for a gap goal
+    assert skipped["np\\s"] > 0 and skipped["s/<x>[x]n"] > 0, skipped
 
 
 # -- the reference enumerator and island-wrap generator

@@ -441,10 +441,19 @@ def test_derive_sentence_word_cap_without_bracketing():
         "(this (is (a (candidate (whom ((I (would (persuade (every (friend of))))) "
         "(to_vote for)))))))"
     )
-    # a search the chart cannot prune keeps the smaller cap
+    # a non-atomic goal is charted too: the island violation is
+    # exhausted past the smaller cap
     words = "know which papers Bob will reject the proposal without reading carefully".split()
     assert MAX_UNCHARTED_WORDS < len(words) <= MAX_SEARCH_WORDS
-    for goal, config in (("np\\s", SearchConfig()), ("s", SearchConfig(count_pruning=False))):
+    r = derive_sentence(lex, words, parse_formula("np\\s"))
+    assert not r.parses and not r.bounded
+    # a search the chart cannot prune keeps the smaller cap: without
+    # count pruning, for a goal with a hypothesis that is not plain, and
+    # for one with more hypotheses than a chart class counts
+    for goal, config in (("s", SearchConfig(count_pruning=False)),
+                         ("np\\s", SearchConfig(count_pruning=False)),
+                         ("s/<x>[x](gp\\gp)", SearchConfig()),
+                         ("((s/<x>[x]np)/<x>[x]np)/<x>[x]np", SearchConfig())):
         with pytest.raises(ProverError, match=f"capped at {MAX_UNCHARTED_WORDS} words"):
             derive_sentence(lex, words, parse_formula(goal), config=config)
 
@@ -522,14 +531,18 @@ def search_outcome(result, words):
              for p in result.parses])
 
 
-def test_inputs_the_chart_does_not_model_search_as_unpruned():
-    # non-atomic goals, and the two-gap "whom", whose argument is a
-    # product of two arguments with a hypothesis each
+def test_slash_gap_and_product_inputs_search_as_unpruned():
+    # goals with a slash, a gap or a product, which the chart checks as
+    # arguments, and the two-gap "whom", whose argument is a product of
+    # two arguments with a hypothesis each
     lex = builtin_lexicon()
     for text, goal in [
         ("rejected the paper", "np\\s"),
         ("Bob rejected", "s/<x>[x]np"),
         ("Bob rejected the", "s/n"),
+        ("that Bob rejected without reading", "n\\n"),
+        ("Bob rejected", "np*(np\\s)/np"),
+        ("the report about left", "np/<x>[x]np*(np\\s)/<x>[x]np"),
         ("candidate whom Bob persuaded to_vote for", "n"),
         ("candidate whom Bob persuaded", "n"),
     ]:
@@ -538,6 +551,20 @@ def test_inputs_the_chart_does_not_model_search_as_unpruned():
         want = derive_sentence(lex, words, parse_formula(goal),
                                config=SearchConfig(count_pruning=False))
         assert search_outcome(got, words) == search_outcome(want, words), text
+    # three hypotheses, more than a chart class counts, in the goal and
+    # in an argument; each is derivable only on the left-branching tree.
+    # Count pruning exhausts the right-branching tree, which the unpruned
+    # prover cuts at its budget, so only `bounded` differs
+    gap3 = "((s/<x>[x]np)/<x>[x]np)/<x>[x]np"
+    lex = {w: [parse_formula(t)] for w, t in [
+        ("p", "(s/z)/y"), ("q", "y/np"), ("r", "(z/np)/np"), ("x", f"t/({gap3})")]}
+    for text, goal in [("p q r", gap3), ("x p q r", "t")]:
+        words = text.split()
+        got = derive_sentence(lex, words, parse_formula(goal))
+        want = derive_sentence(lex, words, parse_formula(goal),
+                               config=SearchConfig(count_pruning=False))
+        assert got.parses and not got.bounded and want.bounded, text
+        assert search_outcome(got, words)[2:] == search_outcome(want, words)[2:], text
 
 
 def test_id_keyed_chart_tables_hold_their_keys():
