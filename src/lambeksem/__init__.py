@@ -51,13 +51,6 @@ from .translate import (
     link_diagram,
     proof_meaning,
 )
-from .tensor import (
-    TensorError,
-    TensorStore,
-    closed_form_1d,
-    eval_diagram,
-    oracle_eval,
-)
 from .lexicon import (
     LexEntry,
     Lexicon,
@@ -68,6 +61,20 @@ from .lexicon import (
 )
 
 __version__ = "0.1.0"
+
+# exported on first use (PEP 562): ``tensor`` loads numpy, which only
+# evaluation needs
+_TENSOR_NAMES = ("TensorError", "TensorStore", "closed_form_1d", "eval_diagram",
+                 "oracle_eval")
+
+
+def __getattr__(name: str):
+    if name in _TENSOR_NAMES:
+        from . import tensor
+
+        return getattr(tensor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom",

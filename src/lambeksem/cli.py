@@ -5,7 +5,8 @@ files), ``eval`` (tensor evaluation), ``derive-type`` (lexical type
 pipelines).  Exit codes: 0 success/derivable, 1 not derivable (the
 search was exhausted), 2 usage or input error, 3 undecided (the search
 was cut off by its budget).  All JSON reports carry
-``"schema": "cli/1"``.
+``"schema": "cli/1"``.  Only ``eval`` imports ``tensor`` and so numpy;
+the other commands start without them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from .diagram import DiagramError, normalize
 from .formula import FormulaError, parse_formula, print_formula
@@ -26,15 +25,15 @@ from .prover import (
     format_bracketing,
     proof_to_json,
 )
-from .tensor import TensorError, TensorStore, closed_form_1d, eval_diagram, oracle_eval
 from .translate import compile_sentence
 
 SCHEMA = "cli/1"
 
 # sentences with a registered closed-form evaluation oracle, keyed by
-# their exact word sequence
+# their exact word sequence; each names its oracle in ``tensor``, which
+# only ``eval`` imports, as it loads numpy
 CLOSED_FORMS = {
-    ("papers", "that", "Bob", "rejected", "without", "reading"): closed_form_1d,
+    ("papers", "that", "Bob", "rejected", "without", "reading"): "closed_form_1d",
 }
 
 
@@ -78,12 +77,6 @@ def _parse_dims(text: str) -> dict[str, int]:
     if not dims:
         raise UsageError("empty --dims")
     return dims
-
-
-def _store_from_args(args) -> TensorStore:
-    if args.store:
-        return TensorStore.load(args.store, generate=False)
-    return TensorStore(_parse_dims(args.dims), seed=args.seed)
 
 
 def _derive(args, lexicon: Lexicon):
@@ -209,13 +202,20 @@ def cmd_compile(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import tensor
+
     lexicon = _load_lexicon(args.lexicon)
     result, parse, diagram = _compile_first(args, lexicon)
     if diagram is None:
         print(_failure(result), file=sys.stderr)
         return EXIT_CODES[_verdict(result)]
-    store = _store_from_args(args)
-    value = eval_diagram(diagram, store)
+    if args.store:
+        store = tensor.TensorStore.load(args.store, generate=False)
+    else:
+        store = tensor.TensorStore(_parse_dims(args.dims), seed=args.seed)
+    value = tensor.eval_diagram(diagram, store)
     report = {
         "schema": SCHEMA,
         "spaces": list(value.spaces),
@@ -224,8 +224,8 @@ def cmd_eval(args) -> int:
     }
     if args.check:
         try:
-            oracle = oracle_eval(diagram, store)
-        except TensorError as err:
+            oracle = tensor.oracle_eval(diagram, store)
+        except tensor.TensorError as err:
             report["oracle_skipped"] = str(err)
         else:
             report["oracle_max_abs_diff"] = float(
@@ -233,7 +233,7 @@ def cmd_eval(args) -> int:
             )
         closed = CLOSED_FORMS.get(tuple(args.words))
         if closed is not None:
-            ref = closed(store)
+            ref = getattr(tensor, closed)(store)
             report["closed_form_max_abs_diff"] = float(
                 np.abs(value.array - ref.array).max()
             )
@@ -344,8 +344,9 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except (UsageError, LexiconError, FormulaError, TensorError,
-            DiagramError, ProverError, OSError, ValueError) as err:
+    # a TensorError is a ValueError
+    except (UsageError, LexiconError, FormulaError, DiagramError,
+            ProverError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ memoized failures, so results are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -286,7 +287,7 @@ def _lift(ctx: Formula, path: Path, inner: ProofTerm) -> ProofTerm:
 # Search
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the backward-chaining search.
 
@@ -302,7 +303,8 @@ class SearchConfig:
     the bracketings with a split that cannot reach it.
     Disabling ``memoize`` or ``count_pruning`` is only useful for
     conservativity tests; ``count_pruning=False`` is the unpruned
-    reference.
+    reference.  A config is frozen, as it is part of the key under which
+    :func:`derive_sentence` keeps a search's result.
     """
 
     max_proof_size: int = 40
@@ -1173,7 +1175,7 @@ class _Chart:
         return splits
 
 
-@dataclass
+@dataclass(frozen=True)
 class SentenceParse:
     bracketing: "BracketNode | BracketLeaf"
     types: tuple[Formula, ...]
@@ -1181,7 +1183,7 @@ class SentenceParse:
     proof: ProofTerm
 
 
-@dataclass
+@dataclass(frozen=True)
 class SentenceResult:
     parses: tuple[SentenceParse, ...]
     bounded: bool
@@ -1196,8 +1198,9 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
     """The candidates of a sentence search, in order, as (assignment,
     tree, antecedent): per lexical assignment, each tree of ``trees``
     bare, then with each island wrap, in the classes that pass the count
-    check (one at most: a wrap adds one ``<i>``); when none passes, the
-    root goal is recorded in ``failures``.
+    check (one at most: a wrap adds one ``<i>``).  For each class the
+    check skips, the stripped goal of its first candidate is recorded in
+    ``failures``, as the prover would record it.
 
     With ``charted``, only the first candidate of an assignment comes
     before its chart is built: short sentences are often proved by it,
@@ -1215,10 +1218,15 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
         first = next(iter(trees))
         if config.count_pruning:
             root = antecedent(first)
-            bare = count_vector(root) == count_vector(goal)
-            wrapped = wrapped and count_vector(Dia(Mode.I, root)) == count_vector(goal)
+            want = count_vector(goal)
+            bare = count_vector(root) == want
+            if not bare:
+                failures.record_failure(*_strip(root, goal)[:2])
+            if wrapped and count_vector(Dia(Mode.I, root)) != want:
+                wrapped = False
+                _, ante = next(_island_wraps(first, locked, antecedent))
+                failures.record_failure(*_strip(ante, goal)[:2])
             if not (bare or wrapped):
-                failures.record_failure(root, goal)
                 continue
 
         def candidates(tree):
@@ -1254,6 +1262,9 @@ MAX_SEARCH_WORDS = 14
 # Without the chart every bracketing goes to the prover, so that search
 # keeps the smaller cap.
 MAX_UNCHARTED_WORDS = 10
+# The most sentence searches kept by :func:`_derive`, least recently
+# used dropped first.
+SEARCH_CACHE_SIZE = 256
 
 
 def derive_sentence(
@@ -1271,7 +1282,7 @@ def derive_sentence(
     enumerates all binary bracketings, right-branching first, and also tries
     island brackets around constituents headed by a box-locked type.  The
     bracketings are enumerated lazily over shared subtrees: the trees over
-    each span are built once per call, only as far as the search asks for
+    each span are built once per search, only as far as it asks for
     them, and each lexical assignment builds the antecedent of each shared
     subtree once.
 
@@ -1281,8 +1292,8 @@ def derive_sentence(
     assignment's counts and the single island wrap adds one ``<i>``
     diamond, so the candidates without a wrap and those with one form two
     classes, each skipped whole when its counts differ (an explicit
-    bracketing is one class).  When both are skipped, the
-    assignment's goal still counts as a failed one for the diagnostics.
+    bracketing is one class).  A skipped class still counts its first
+    candidate's goal as a failed one for the diagnostics.
 
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
     unbracketed search whose words' types it models (every bundled one),
@@ -1296,6 +1307,15 @@ def derive_sentence(
     parse's bracketing, is unchanged.  Such a search is capped at
     ``MAX_SEARCH_WORDS`` words, any other unbracketed one at
     ``MAX_UNCHARTED_WORDS``.
+
+    The words come into the search only through their types, and the
+    bracketing names them by index.  So once the input is checked here,
+    the result is a function of each word's type set, the goal, the
+    bracketing tree and the config alone, whatever the words are:
+    :func:`_derive` computes it and keeps the last ``SEARCH_CACHE_SIZE``
+    results, which are frozen and shared by every caller that asks again.
+    ``lambeksem.prover._derive.cache_info()`` reads its hits and misses.
+    Input errors are raised on every call and never kept.
     """
     if not words:
         raise ProverError("no words to parse")
@@ -1304,31 +1324,46 @@ def derive_sentence(
         lookup = lexicon.types
     else:
         lookup = lambda w: lexicon[w]
-    choices: list[Sequence[Formula]] = []
+    choices: list[tuple[Formula, ...]] = []
     for w in words:
         if w not in lexicon:
             raise ProverError(f"word {w!r} is not in the lexicon")
-        entry_types = list(lookup(w))
+        entry_types = tuple(lookup(w))
         if not entry_types:
             raise ProverError(f"word {w!r} has no types in the lexicon")
         choices.append(entry_types)
 
-    charted = bracketing is None and _charted(choices, goal, config)
     if bracketing is None:
-        cap = MAX_SEARCH_WORDS if charted else MAX_UNCHARTED_WORDS
-        if len(words) > cap:
-            raise ProverError(
-                f"bracketing search is capped at {cap} words"
-                + ("" if charted else " for this goal and these types")
-                + "; pass an explicit bracketing"
-            )
-        trees = _bracketings(len(words))
-        explicit = False
+        # below the smaller cap, no need to ask whether the chart prunes
+        if len(words) > MAX_UNCHARTED_WORDS:
+            charted = _charted(choices, goal, config)
+            cap = MAX_SEARCH_WORDS if charted else MAX_UNCHARTED_WORDS
+            if len(words) > cap:
+                raise ProverError(
+                    f"bracketing search is capped at {cap} words"
+                    + ("" if charted else " for this goal and these types")
+                    + "; pass an explicit bracketing"
+                )
     else:
         if isinstance(bracketing, str):
             bracketing = parse_bracketing(bracketing, words)
-        trees = (bracketing,)
-        explicit = _explicit_wrap(bracketing, len(words))
+        # checked before it is hashed as part of the key, which recurses
+        _explicit_wrap(bracketing, len(words))
+    return _derive(tuple(choices), goal, bracketing, config)
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> SentenceResult:
+    """The search of :func:`derive_sentence` over checked input: the
+    type sets ``choices`` of the words, in order, and an explicit
+    bracketing ``tree`` or None."""
+    n = len(choices)
+    if tree is None:
+        charted = _charted(choices, goal, config)
+        trees, explicit = _bracketings(n), False
+    else:
+        charted = False
+        trees, explicit = (tree,), _explicit_wrap(tree, n)
 
     prover = Prover(config)
     parses: list[SentenceParse] = []

@@ -19,6 +19,7 @@ from lambeksem.prover import (
     _Chart,
     _charted,
     _Checks,
+    _derive,
     _island_wraps,
     _locked,
     format_bracketing,
@@ -136,6 +137,13 @@ def composable_proof_pairs(rng: random.Random, count: int):
         if r1.proofs and r2.proofs:
             pairs.append((r1.proofs[0], r2.proofs[0]))
     return pairs
+
+
+@pytest.fixture(autouse=True)
+def cold_search_cache():
+    """Each test starts with no sentence search kept, so a test that
+    counts what a search does sees it done."""
+    _derive.cache_clear()
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, JSON reports, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lambeksem
 from lambeksem.cli import main
 from lambeksem.tensor import MAX_TENSOR_ELEMENTS, TensorStore
 
@@ -19,6 +24,17 @@ def test_parse_derivable(capsys):
     code, out, _ = run(capsys, "parse", "Bob", "left", "the", "room")
     assert code == 0
     assert "derivable" in out
+
+
+def test_parse_does_not_import_numpy():
+    # only eval needs numpy: parse in a fresh interpreter leaves it out
+    src = str(Path(lambeksem.__file__).resolve().parents[1])
+    script = ("import sys; from lambeksem.cli import main; "
+              "code = main(['parse', 'papers', 'that', 'Bob', 'rejected', '--goal', 'n']); "
+              "print(code, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
 
 
 def test_parse_not_derivable_exits_1(capsys):

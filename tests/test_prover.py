@@ -1,6 +1,7 @@
 """Proof search: soundness, completeness on known arrows, search controls."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,
     MAX_UNCHARTED_WORDS,
+    SEARCH_CACHE_SIZE,
     Arrow,
     BracketLeaf,
     BracketNode,
@@ -17,6 +19,8 @@ from lambeksem.prover import (
     ProverError,
     SearchConfig,
     _antecedent,
+    _bracketings,
+    _derive,
     _strip,
     alpha,
     coev_box,
@@ -44,6 +48,7 @@ from lambeksem.prover import (
 )
 from conftest import composable_proof_pairs, random_formula, sentence_candidates
 from test_acceptance import CRITERION_1_SUITE
+from test_differential import CLASSES, PATTERNS, substitute
 
 
 def arrow(src, tgt):
@@ -545,6 +550,12 @@ def test_slash_gap_and_product_inputs_search_as_unpruned():
         ("the report about left", "np/<x>[x]np*(np\\s)/<x>[x]np"),
         ("candidate whom Bob persuaded to_vote for", "n"),
         ("candidate whom Bob persuaded", "n"),
+        # the count check skips a whole class: its first candidate's
+        # stripped goal is the failure recorded, with the island wrap
+        # for the wrapped class
+        ("papers that Bob rejected without", "n/gp"),
+        ("candidate that Bob rejected I despite reading", "n"),
+        ("window that Bob left the room without closing", "n"),
     ]:
         words = text.split()
         got = derive_sentence(lex, words, parse_formula(goal))
@@ -582,3 +593,76 @@ def test_id_keyed_chart_tables_hold_their_keys():
         assert antecedent(right) == Tensor(types[0], Tensor(types[1], types[2]))
         del right
     assert all(key == id(entry[0]) for key, entry in memo.items())
+
+
+def test_search_results_are_frozen():
+    # a kept result is shared by every caller that asks again
+    r = derive_sentence(builtin_lexicon(), ["Bob", "left", "the", "room"], parse_formula("s"))
+    config = SearchConfig()
+    for obj, field in ((r, "bounded"), (r.parses[0], "types"), (config, "find_all")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, None)
+    assert replace(config, find_all=True).find_all
+
+
+def other_words(rng, pattern, words):
+    """A substitution into ``pattern`` that differs from ``words`` in
+    every slot whose class has another word."""
+    return [rng.choice([w for w in CLASSES[t] if w != old] or [old]) if t in CLASSES else old
+            for t, old in zip(pattern.split(), words)]
+
+
+def test_cached_search_equals_a_cold_one_for_words_of_the_same_types():
+    lex = builtin_lexicon()
+    rng = random.Random(2023)
+    for pattern, goal_text, _ in PATTERNS:
+        goal = parse_formula(goal_text)
+        first = substitute(rng, pattern)
+        second = other_words(rng, pattern, first)
+        assert first != second, pattern
+        # unbracketed, then on the first parse's tree or the
+        # right-branching one
+        cold = derive_sentence(lex, second, goal)
+        tree = (cold.parses[0].bracketing if cold.ok
+                else next(iter(_bracketings(len(second)))))
+        for bracketing in (None, tree):
+            def search(words):
+                text = bracketing and format_bracketing(bracketing, words)
+                return derive_sentence(lex, words, goal, bracketing=text)
+
+            _derive.cache_clear()
+            want = search_outcome(search(second), second)
+            _derive.cache_clear()
+            search(first)
+            hits = _derive.cache_info().hits
+            got = search(second)
+            assert _derive.cache_info().hits == hits + 1, (pattern, bracketing)
+            assert search_outcome(got, second) == want, (pattern, bracketing)
+
+
+def test_search_cache_is_bounded():
+    lex = builtin_lexicon()
+    words, s = ["Bob", "left"], parse_formula("s")
+    for size in range(SEARCH_CACHE_SIZE + 10):
+        derive_sentence(lex, words, s, config=SearchConfig(max_proof_size=size))
+    info = _derive.cache_info()
+    assert (info.misses, info.currsize) == (SEARCH_CACHE_SIZE + 10, SEARCH_CACHE_SIZE)
+
+
+def test_input_errors_are_raised_on_every_call():
+    lex = builtin_lexicon()
+    s = parse_formula("s")
+    # deep enough that hashing it as part of a key would recurse too far
+    n = 1500
+    deep = BracketLeaf(n - 1)
+    for i in range(n - 2, -1, -1):
+        deep = BracketNode(BracketLeaf(i), deep)
+    for words, bracketing, match in (
+        (["Bob", "flurbled"], None, "not in the lexicon"),
+        (["Bob"] * (MAX_SEARCH_WORDS + 1), None, "capped"),
+        (["Bob"] * n, deep, "deeper than"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ProverError, match=match):
+                derive_sentence(lex, words, s, bracketing=bracketing)
+    assert _derive.cache_info().currsize == 0
