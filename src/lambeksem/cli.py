@@ -97,6 +97,10 @@ def _compile_first(args, lexicon: Lexicon):
 
 
 def cmd_parse(args) -> int:
+    if args.batch and args.words:
+        raise UsageError("--batch reads its sentences from the file; give no words with it")
+    if not args.batch and not args.words:
+        raise UsageError("give the sentence words, or --batch FILE")
     lexicon = _load_lexicon(args.lexicon)
     if args.batch:
         return _run_batch(args, lexicon)
@@ -290,10 +294,10 @@ def _budget(text: str) -> int:
     return size
 
 
-def _add_sentence_args(sub, goal_default="s"):
-    sub.add_argument("words", nargs="+", help="sentence words")
+def _add_sentence_args(sub, words="+"):
+    sub.add_argument("words", nargs=words, help="sentence words")
     sub.add_argument("--lexicon", help="lexicon file (default: bundled)")
-    sub.add_argument("--goal", default=goal_default, help="goal formula")
+    sub.add_argument("--goal", default="s", help="goal formula")
     sub.add_argument("--bracketing", help="explicit bracketing, e.g. (a (b c))")
     sub.add_argument("--max-size", type=_budget, default=40,
                      help="proof search budget")
@@ -308,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="derivability and proof extraction")
-    _add_sentence_args(p)
+    _add_sentence_args(p, words="*")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--batch", help="file of sentences: words [:: goal [:: bracketing]]")
+    p.add_argument("--batch", help="file of sentences: words [:: goal [:: bracketing]]; "
+                                   "give no words with it")
     p.set_defaults(func=cmd_parse)
 
     c = sub.add_parser("compile", help="write initial and normalized diagrams")

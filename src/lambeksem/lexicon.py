@@ -351,6 +351,7 @@ class Lexicon:
         self.entries: list[LexEntry] = []
         self._raw: list[str] = []
         self._by_word: dict[str, list[LexEntry]] = {}
+        self._states: dict[LexEntry, Diagram] = {}
 
     # -- building
 
@@ -387,20 +388,24 @@ class Lexicon:
                     case _:
                         raise LexiconError(f"unknown entry field {part!r}")
         entry = LexEntry(word, syn, syn_text, sem, derived_from, steps_text)
-        self._validate(entry)
+        state = self._validate(entry)
         self.entries.append(entry)
         self._by_word.setdefault(word, []).append(entry)
+        self._states[entry] = state
         return entry
 
-    def _validate(self, entry: LexEntry) -> None:
+    def _validate(self, entry: LexEntry) -> Diagram:
+        """Check an entry against the lexicon; returns its meaning."""
         # the semantic boundary must interpret the type
-        entry.state().validate()
+        state = entry.state()
+        state.validate()
         if (entry.derived_from is None) != (entry.steps_text is None):
             raise LexiconError(
                 f"{entry.word}: derived-from and steps come together"
             )
         if entry.derived_from is not None:
             self.replay(entry)
+        return state
 
     def replay(
         self, entry: LexEntry
@@ -443,7 +448,13 @@ class Lexicon:
         raise LexiconError(f"no entry {word} :: {print_formula(syn)}")
 
     def state(self, word: str, syn: Formula) -> Diagram:
-        return self.entry(word, syn).state()
+        """The meaning network of the entry ``word :: syn``.
+
+        Each entry's network is built once, when the entry is added, and
+        every call returns that diagram: entries are frozen and diagrams
+        immutable, so it is safe to share.  The lexicon keeps one network
+        per entry, so what it keeps is bounded by its own entries."""
+        return self._states[self.entry(word, syn)]
 
     def states(self, words, types) -> list[Diagram]:
         return [self.state(w, t) for w, t in zip(words, types)]

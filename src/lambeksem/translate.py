@@ -12,11 +12,14 @@ controlled commutation is a block permutation.
 The same proofs also yield their axiom linkings, the pairing-off of
 atom occurrences that survives into the diagram as the pattern of cup
 arcs.  ``compile_sentence`` builds a sentence meaning that way: one
-Frobenius network per word, wired together along the linking.
+Frobenius network per word, wired together along the linking.  The
+linking is a function of the proof alone, so the link diagram of each
+of the last ``SEARCH_CACHE_SIZE`` proofs is kept and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -44,7 +47,7 @@ from .formula import (
     iter_atoms,
     print_formula,
 )
-from .prover import ProofTerm
+from .prover import SEARCH_CACHE_SIZE, ProofTerm
 
 
 ATOM_SPACES: dict[str, WireType] = {
@@ -560,8 +563,16 @@ def compile_sentence(parse, states) -> Diagram:
         raise DiagramError(
             "lexical networks do not line up with the parsed types"
         )
-    linking = extract_axiom_links(parse.proof)
-    return compose(state, link_diagram(linking))
+    return compose(state, _proof_links(parse.proof))
+
+
+# Proof terms hash and compare by their fields and diagrams are frozen,
+# so a kept diagram is the one a cold call would build.  The bound is the
+# search cache's: the first proof of every kept search keeps its linking.
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _proof_links(proof: ProofTerm) -> Diagram:
+    """The link diagram of a proof's axiom linking."""
+    return link_diagram(extract_axiom_links(proof))
 
 
 def proof_meaning(parse, states) -> Diagram:

@@ -24,6 +24,7 @@ from lambeksem.prover import (
     _locked,
     format_bracketing,
 )
+from lambeksem.translate import _proof_links
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
 
@@ -141,9 +142,11 @@ def composable_proof_pairs(rng: random.Random, count: int):
 
 @pytest.fixture(autouse=True)
 def cold_search_cache():
-    """Each test starts with no sentence search kept, so a test that
-    counts what a search does sees it done."""
+    """Each test starts with no sentence search and no link diagram
+    kept, so a test that counts what a search or a compile does sees it
+    done."""
     _derive.cache_clear()
+    _proof_links.cache_clear()
 
 
 @pytest.fixture

@@ -150,7 +150,7 @@ def test_batch(tmp_path, capsys):
         "papers that Bob rejected without reading :: n :: "
         "(papers (that (Bob (rejected i:(without reading)))))\n"
     )
-    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--json", "x")
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == "cli/1"
@@ -164,7 +164,7 @@ def test_batch_with_failure_exits_1(tmp_path, capsys):
     batch.write_text(
         "Bob left the room\npapers that Bob rejected the proposal :: n\n"
     )
-    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--json", "x")
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--json")
     assert code == 1
     doc = json.loads(out)
     verdicts = [r["derivable"] for r in doc["results"]]
@@ -175,7 +175,7 @@ def test_batch_undecided_marks_and_exit_codes(tmp_path, capsys):
     undecided = "papers that Bob rejected :: n\n"
     batch = tmp_path / "sentences.txt"
     batch.write_text("Bob left the room\n" + undecided)
-    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--max-size", "3", "x")
+    code, out, _ = run(capsys, "parse", "--batch", str(batch), "--max-size", "3")
     assert code == 3
     assert out.splitlines() == [
         "ok  Bob left the room  ->  s",
@@ -184,7 +184,7 @@ def test_batch_undecided_marks_and_exit_codes(tmp_path, capsys):
     # a line that is not derivable outranks an undecided one
     batch.write_text(undecided + "papers that Bob rejected the proposal :: n\n")
     code, out, _ = run(capsys, "parse", "--batch", str(batch), "--max-size", "3",
-                       "--json", "x")
+                       "--json")
     assert code == 1
     doc = json.loads(out)
     assert [r["verdict"] for r in doc["results"]] == ["undecided", "not derivable"]
@@ -193,9 +193,24 @@ def test_batch_undecided_marks_and_exit_codes(tmp_path, capsys):
 def test_batch_empty_sentence_exits_2(tmp_path, capsys):
     batch = tmp_path / "sentences.txt"
     batch.write_text("Bob left the room\n:: s\n")
-    code, out, err = run(capsys, "parse", "--batch", str(batch), "x")
+    code, out, err = run(capsys, "parse", "--batch", str(batch))
     assert code == 2 and not out
     assert err == "error: no words to parse\n"
+
+
+def test_batch_takes_no_sentence_words(tmp_path, capsys):
+    batch = tmp_path / "sentences.txt"
+    batch.write_text("Bob left the room\n")
+    code, out, _ = run(capsys, "parse", "--batch", str(batch))
+    assert code == 0 and out == "ok  Bob left the room  ->  s\n"
+    # words beside --batch would be ignored, so they are refused
+    code, out, err = run(capsys, "parse", "--batch", str(batch), "some", "words")
+    assert code == 2 and not out
+    assert err.startswith("error: --batch reads its sentences from the file")
+    # and without --batch the words are still required
+    code, out, err = run(capsys, "parse", "--goal", "s")
+    assert code == 2 and not out
+    assert err == "error: give the sentence words, or --batch FILE\n"
 
 
 def test_negative_budget_exits_2(capsys):

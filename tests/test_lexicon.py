@@ -255,6 +255,29 @@ def test_states_have_the_right_boundaries():
         assert st.outputs == interpret_type(t)
 
 
+def test_each_entry_keeps_one_network():
+    lex = builtin_lexicon()
+    t = lex.types("rejected")[0]
+    first = lex.state("rejected", t)
+    assert lex.state("rejected", t) is first
+    assert first.to_json() == lex.entry("rejected", t).state().to_json()
+    # a word with two types keeps one network per entry
+    relative, coarg = lex.types("that")
+    a, b = lex.state("that", relative), lex.state("that", coarg)
+    assert a is not b and a.to_json() != b.to_json()
+    assert a.to_json() == lex.entry("that", relative).state().to_json()
+    assert b.to_json() == lex.entry("that", coarg).state().to_json()
+    # an entry added after a lookup gets its own network
+    small = Lexicon.loads("Bob :: np\n")
+    bob = small.state("Bob", F("np"))
+    small.add("Bob :: s/(np\\s)")
+    lifted = small.state("Bob", F("s/(np\\s)"))
+    assert small.state("Bob", F("np")) is bob
+    assert lifted is not bob
+    assert lifted.outputs == interpret_type(F("s/(np\\s)"))
+    assert lifted.to_json() == small.entry("Bob", F("s/(np\\s)")).state().to_json()
+
+
 def test_word_state_network_shapes():
     lex = builtin_lexicon()
     that = lex.entry("that", lex.types("that")[0])

@@ -9,6 +9,7 @@ from lambeksem.diagram import box, compose, normalize, tensor_par
 from lambeksem.formula import Box, Dia, Mode, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
+    SEARCH_CACHE_SIZE,
     Arrow,
     compose as pcompose,
     derive_sentence,
@@ -17,6 +18,7 @@ from lambeksem.prover import (
 )
 from lambeksem.tensor import TensorStore, eval_diagram
 from lambeksem.translate import (
+    _proof_links,
     compile_sentence,
     extract_axiom_links,
     interpret_proof,
@@ -178,6 +180,33 @@ def test_link_route_agrees_with_hom_route():
         v2 = eval_diagram(via_hom, store)
         np.testing.assert_allclose(v1.array, v2.array, rtol=1e-9, atol=1e-12)
         assert normalize(via_links).to_json() == normalize(via_hom).to_json()
+
+
+def test_link_diagram_is_kept_per_proof():
+    lex = builtin_lexicon()
+    goal = F("n")
+    words = ["papers", "that", "Bob", "rejected", "without", "reading"]
+    parse = derive_sentence(lex, words, goal).parses[0]
+    states = lex.states(words, parse.types)
+    compiled = compile_sentence(parse, states)
+    cold = link_diagram(extract_axiom_links(parse.proof))
+    assert _proof_links(parse.proof).to_json() == cold.to_json()
+    _proof_links.cache_clear()
+    assert compile_sentence(parse, states).to_json() == compiled.to_json()
+    # the same types with other words: the same proof, so its linking is
+    # read from the cache
+    other = ["report", "that", "I", "accept", "without", "liking"]
+    hits = _proof_links.cache_info().hits
+    parse2 = derive_sentence(lex, other, goal).parses[0]
+    states2 = lex.states(other, parse2.types)
+    via_links = compile_sentence(parse2, states2)
+    assert _proof_links.cache_info().hits == hits + 1
+    dims = {"N": 3, "S": 2}
+    v1 = eval_diagram(normalize(via_links), TensorStore(dims, seed=5))
+    v2 = eval_diagram(normalize(proof_meaning(parse2, states2)),
+                      TensorStore(dims, seed=5))
+    np.testing.assert_allclose(v1.array, v2.array, rtol=1e-9, atol=1e-12)
+    assert _proof_links.cache_info().maxsize == SEARCH_CACHE_SIZE
 
 
 def test_gap_normal_form_has_one_copying_spider():
