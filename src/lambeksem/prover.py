@@ -805,41 +805,46 @@ def _antecedent(tree, types: Sequence[Formula], memo: dict) -> Formula:
     return f
 
 
-def _island_wraps(tree, locked_leaves: set[int], antecedent) -> Iterator:
-    """The tree, which has no wrap, with one island wrap over a
-    constituent whose leftmost word carries a box-locked type, for each
-    such constituent in preorder, each paired with its antecedent.  At
-    most one wrap per locked word is ever useful for the constructions
-    covered here.
-
-    One preorder walk: the nodes popped since the last leaf are the left
-    spine down to the next leaf, so that leaf is their leftmost word."""
-    stack = [(tree, None)]
-    spine = []
+def _island_wraps(tree, locked_leaves: set[int], antecedent, k: int) -> Iterator:
+    """The tree, which has no wrap, with ``k`` island wraps, and its
+    antecedent, for each set of ``k`` constituents whose leftmost words
+    are distinct box-locked words (one wrap per locked word is all that
+    is ever useful), nested ones included, in the lexicographic preorder
+    of the constituents.  The nodes a preorder walk pops since the last
+    leaf are the left spine down to the next leaf, its leftmost word."""
+    if not k:
+        yield tree, antecedent(tree)
+        return
+    starts, stack, spine = [], [(tree, ())], []
     while stack:
-        node, up = stack.pop()
-        spine.append((node, up))
+        node, above = stack.pop()
+        spine.append((node, above))
         if isinstance(node, BracketNode):
-            stack.append((node.right, (node, False, up)))
-            stack.append((node.left, (node, True, up)))
+            above += (id(node),)
+            stack += ((node.right, above), (node.left, above))
             continue
         if node.index in locked_leaves:
-            for sub, link in spine:
-                if isinstance(sub, BracketLeaf):
-                    wrapped = BracketLeaf(sub.index, True)
-                else:
-                    wrapped = BracketNode(sub.left, sub.right, True)
-                f = Dia(Mode.I, antecedent(sub))
-                while link is not None:
-                    parent, on_left, link = link
-                    if on_left:
-                        wrapped = BracketNode(wrapped, parent.right)
-                        f = Tensor(f, antecedent(parent.right))
-                    else:
-                        wrapped = BracketNode(parent.left, wrapped)
-                        f = Tensor(antecedent(parent.left), f)
-                yield wrapped, f
+            starts += ((sub, above, node.index) for sub, above in spine)
         spine = []
+    for chosen in itertools.combinations(starts, k):
+        if len({leaf for _, _, leaf in chosen}) == k:
+            wrapped = {id(sub) for sub, _, _ in chosen}
+            touched = wrapped.union(*(above for _, above, _ in chosen))
+            yield _rewrap(tree, wrapped, touched, antecedent)
+
+
+def _rewrap(node, wrapped: set, touched: set, antecedent):
+    """``node`` with a wrap over each subtree whose ``id`` is in ``wrapped``,
+    and its antecedent; ``touched`` adds the ids of the nodes above them."""
+    if id(node) not in touched:
+        return node, antecedent(node)
+    if isinstance(node, BracketLeaf):
+        return BracketLeaf(node.index, True), Dia(Mode.I, antecedent(node))
+    left, fl = _rewrap(node.left, wrapped, touched, antecedent)
+    right, fr = _rewrap(node.right, wrapped, touched, antecedent)
+    if id(node) in wrapped:
+        return BracketNode(left, right, True), Dia(Mode.I, Tensor(fl, fr))
+    return BracketNode(left, right), Tensor(fl, fr)
 
 
 # ---------------------------------------------------------------------------
@@ -877,13 +882,13 @@ def _mdiff(a: tuple, b: tuple) -> tuple | None:
     return tuple(rest)
 
 
-def _join(c1, c2):
+def _join(c1, c2, k: int):
     """The class of a constituent made of parts of classes ``c1`` and
-    ``c2``, or None when it would hold two wraps or too many hypotheses."""
+    ``c2``, or None when it holds over ``k`` wraps or too many hypotheses."""
     (w1, h1), (w2, h2) = c1, c2
-    if w1 and w2 or len(h1) + len(h2) > _MAX_HYPS:
+    if w1 + w2 > k or len(h1) + len(h2) > _MAX_HYPS:
         return None
-    return w1 | w2, _msum(h1, h2)
+    return w1 + w2, _msum(h1, h2)
 
 
 def _spine(t: Formula) -> list[Formula]:
@@ -989,19 +994,19 @@ class _Checks:
 class _Chart:
     """What the constituents of one lexical assignment can reduce to.
 
-    By slash application and island unlock, what a constituent fully
-    reduces to depends only on its words.  An item is (class, formula),
-    and a class (w, hyps) says whether the constituent holds the island
-    wrap and which extraction hypotheses ``<x>[x]a`` it holds (their
-    atoms, sorted).  Alpha and sigma can move a hypothesis from the right
-    of a constituent to the right of any node in it outside an island,
-    where the node's formula consumes it; hypotheses at one node stack,
-    in either order.  An argument is proved by a formula the constituent
-    reduces to when it is simple, by one the constituent with the
-    argument's own hypotheses reduces to when it is ``A/<x>[x]a...``, by
-    the two halves of its top split when it is a product (only a product
-    of constituents proves one), and otherwise by the prover on the
-    constituent.
+    By slash application and island unlock, what a constituent fully reduces
+    to depends only on its words.  An item is (class, formula), and a class
+    (w, hyps) says how many island wraps the constituent holds, at most the
+    candidates' wrap count ``k`` (an unlock adds one), and which extraction
+    hypotheses ``<x>[x]a`` it holds (their atoms, sorted).  Alpha and sigma
+    can move a hypothesis from the right of a constituent to the right of
+    any node in it outside an island, where the node's formula consumes it;
+    hypotheses at one node stack, in either order.  An argument is proved by
+    a formula the constituent reduces to when it is simple, by one the
+    constituent with the argument's own hypotheses reduces to when it is
+    ``A/<x>[x]a...``, by the two halves of its top split when it is a
+    product (only a product of constituents proves one), and otherwise by
+    the prover on the constituent.
 
     ``items[i, j]`` unites the items of every tree over the words
     i..j-1 and keeps, for each, the splits and items that derive it
@@ -1019,9 +1024,8 @@ class _Chart:
     never skipped.
     """
 
-    def __init__(self, types, locked, goal, wrap: int, checks: _Checks):
-        """``wrap`` is the wrap count, 0 or 1, of the candidates' class."""
-        self.types, self.checks = types, checks
+    def __init__(self, types, locked, goal, k: int, checks: _Checks):
+        self.types, self.checks, self.k = types, checks, k
         n = self.n = len(types)
         # the product arguments and the hypotheses the goal and types add
         self.products = set()
@@ -1039,8 +1043,8 @@ class _Chart:
             hs for size in range(1, _MAX_HYPS + 1)
             for hs in itertools.combinations_with_replacement(self.names, size)
         ]
-        # whether a span has a word that an island wrap can start at
-        self._wraps = {(i, j): any(k in locked for k in range(i, j))
+        # the most wraps a span can hold: one per word of it a wrap can start at
+        self._wraps = {(i, j): min(k, sum(w in locked for w in range(i, j)))
                        for i in range(n) for j in range(i + 1, n + 1)}
         items: dict = {}
         for width in range(1, n + 1):
@@ -1048,7 +1052,7 @@ class _Chart:
                 items[i, i + width] = self._span(items, i, i + width, i in locked)
         # no hypothesis left over, none too many in the goal: no need is the prover's
         self.roots = [need for c, need in self._fillers(goal, (0, ()), items[0, n], (0, n))
-                      if c == (wrap, ())]
+                      if c == (k, ())]
         self.splits = self._useful(items, n, self.roots)
 
     def trees(self):
@@ -1059,8 +1063,7 @@ class _Chart:
     # -- the span table
 
     def _classes(self, span):
-        ws = (0, 1) if self._wraps[span] else (0,)
-        return [(w, hs) for w in ws for hs in self.hyp_sets]
+        return [(w, hs) for w in range(self._wraps[span] + 1) for hs in self.hyp_sets]
 
     def _span(self, items, i, j, locked) -> dict:
         """The items of span (i, j), each mapped to its derivations:
@@ -1086,9 +1089,9 @@ class _Chart:
                         out.setdefault((c, f.result), []).append((k, need, (cr, f)))
         if locked:
             for item in list(out):
-                c, f = item
-                if c == (0, ()) and isinstance(f, Box) and f.mode is Mode.I:
-                    out.setdefault(((1, ()), f.body), []).append((None, item, None))
+                (w, hs), f = item
+                if w < self.k and not hs and isinstance(f, Box) and f.mode is Mode.I:
+                    out.setdefault(((w + 1, ()), f.body), []).append((None, item, None))
         # hypotheses stacked at the span's node, fewest first
         for size in range(_MAX_HYPS):
             for item in [it for it in out if len(it[0][1]) == size]:
@@ -1112,19 +1115,19 @@ class _Chart:
                 outer = _mdiff(c[1], own)
                 if outer is None:
                     continue
-                joined = _join((c[0], outer), cf)
+                joined = _join((c[0], outer), cf, self.k)
                 if joined and (g == rest or not isinstance(rest, Atom)
                                and self.checks.derives(g, rest)):
                     yield joined, (c, g)
             # more hypotheses from outside than the classes count
             for c in self._classes(span):
                 if len(c[1]) + len(own) > _MAX_HYPS:
-                    joined = _join(c, cf)
+                    joined = _join(c, cf, self.k)
                     if joined:
                         yield joined, (c, None)
         elif kind == "other" or kind == "product" or isinstance(arg, Atom):
             for c in self._classes(span):
-                joined = _join(c, cf)
+                joined = _join(c, cf, self.k)
                 if joined is None:
                     continue
                 if kind == "other" or kind == "product" and c[1]:
@@ -1133,7 +1136,7 @@ class _Chart:
                     yield joined, (c, arg)
         else:
             for c, g in side:
-                joined = _join(c, cf)
+                joined = _join(c, cf, self.k)
                 if joined and self.checks.derives(g, arg):
                     yield joined, (c, g)
 
@@ -1194,13 +1197,22 @@ class SentenceResult:
         return bool(self.parses)
 
 
+def _wrap_count(root: Formula, goal: Formula, locked: set[int]) -> int | None:
+    """The one wrap count k whose candidates over an assignment with the
+    bare antecedent ``root`` pass the count check, or None: a wrap adds
+    one ``<i>`` and starts at a distinct ``locked`` word."""
+    have, want = dict(count_vector(root)), dict(count_vector(goal))
+    k = want.pop("<i>", 0) - have.pop("<i>", 0)
+    return k if have == want and 0 <= k <= len(locked) else None
+
+
 def _candidates(choices, goal, trees, explicit, config, charted, failures) -> Iterator:
     """The candidates of a sentence search, in order, as (assignment,
     tree, antecedent): per lexical assignment, each tree of ``trees``
-    bare, then with each island wrap, in the classes that pass the count
-    check (one at most: a wrap adds one ``<i>``).  For each class the
-    check skips, the stripped goal of its first candidate is recorded in
-    ``failures``, as the prover would record it.
+    with k island wraps, for the one k the counts fix (every k from 0 to
+    the number of locked words without ``count_pruning``).  For each k
+    the count check skips, the stripped goal of its first candidate is
+    recorded in ``failures``, as the prover would record it.
 
     With ``charted``, only the first candidate of an assignment comes
     before its chart is built: short sentences are often proved by it,
@@ -1211,35 +1223,24 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
     for assignment in itertools.product(*choices):
         memo: dict = {}
         antecedent = lambda tree: _antecedent(tree, assignment, memo)
-        locked = set() if explicit else {
-            i for i, t in enumerate(assignment) if _locked(t)
-        }
-        bare, wrapped = True, bool(locked)
+        locked = set() if explicit else {i for i, t in enumerate(assignment) if _locked(t)}
         first = next(iter(trees))
+        ks = range(len(locked) + 1)
         if config.count_pruning:
-            root = antecedent(first)
-            want = count_vector(goal)
-            bare = count_vector(root) == want
-            if not bare:
-                failures.record_failure(*_strip(root, goal)[:2])
-            if wrapped and count_vector(Dia(Mode.I, root)) != want:
-                wrapped = False
-                _, ante = next(_island_wraps(first, locked, antecedent))
+            k = _wrap_count(antecedent(first), goal, locked)
+            for skipped in (w for w in ks if w != k):
+                _, ante = next(_island_wraps(first, locked, antecedent, skipped))
                 failures.record_failure(*_strip(ante, goal)[:2])
-            if not (bare or wrapped):
+            if k is None:
                 continue
-
-        def candidates(tree):
-            if bare:
-                yield tree, antecedent(tree)
-            if wrapped:
-                yield from _island_wraps(tree, locked, antecedent)
-
+            ks = (k,)
+        candidates = lambda tree: (
+            c for k in ks for c in _island_wraps(tree, locked, antecedent, k))
         tried, rest = None, trees
         if checks is not None:
             tried, ante = next(candidates(first))
             yield assignment, tried, ante
-            rest = _Chart(assignment, locked, goal, int(wrapped), checks).trees()
+            rest = _Chart(assignment, locked, goal, k, checks).trees()
         for tree in rest:
             for cand, ante in candidates(tree):
                 # the candidate tried first can only come first here
@@ -1280,7 +1281,7 @@ def derive_sentence(
     or an object with a ``types(word)`` method.  ``bracketing`` is a
     :func:`parse_bracketing`-style tree (or its textual form); ``None``
     enumerates all binary bracketings, right-branching first, and also tries
-    island brackets around constituents headed by a box-locked type.  The
+    island brackets around constituents headed by box-locked types.  The
     bracketings are enumerated lazily over shared subtrees: the trees over
     each span are built once per search, only as far as it asks for
     them, and each lexical assignment builds the antecedent of each shared
@@ -1289,11 +1290,10 @@ def derive_sentence(
     With ``count_pruning`` on, counts are checked once per lexical
     assignment here, once per top-level goal by ``Prover.prove`` and once
     per branch inside the search.  Bracketings do not change an
-    assignment's counts and the single island wrap adds one ``<i>``
-    diamond, so the candidates without a wrap and those with one form two
-    classes, each skipped whole when its counts differ (an explicit
-    bracketing is one class).  A skipped class still counts its first
-    candidate's goal as a failed one for the diagnostics.
+    assignment's counts and each island wrap adds one ``<i>`` diamond, so
+    the counts fix one wrap count per assignment (:func:`_wrap_count`) and
+    skip every other; a skipped count still counts its first candidate's
+    goal as a failed one for the diagnostics.
 
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
     unbracketed search whose words' types it models (every bundled one),

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from lambeksem.diagram import Builder, Diagram
-from lambeksem.formula import (
-    Atom, Box, Dia, Formula, Mode, Over, Tensor, Under, count_vector,
-)
+from lambeksem.formula import Atom, Box, Dia, Formula, Mode, Over, Tensor, Under
 from lambeksem.prover import (
     SearchConfig,
     _antecedent,
@@ -22,6 +20,7 @@ from lambeksem.prover import (
     _derive,
     _island_wraps,
     _locked,
+    _wrap_count,
     format_bracketing,
 )
 from lambeksem.translate import _proof_links
@@ -161,32 +160,24 @@ def np_rng():
 
 def sentence_candidates(lex, words, goal):
     """Each candidate of the unbracketed search for ``words -> goal`` in
-    a class the count check keeps, in search order, as (antecedent,
+    the class the count check keeps, in search order, as (antecedent,
     admitted): ``admitted`` says whether the candidate is over a tree the
     chart yields, and is None where no chart is built."""
     choices = [lex.types(w) for w in words]
     checks = _Checks(SearchConfig()) if _charted(choices, goal, SearchConfig()) else None
-    want = count_vector(goal)
     for assignment in itertools.product(*choices):
         memo: dict = {}
         antecedent = lambda tree: _antecedent(tree, assignment, memo)
         locked = {i for i, t in enumerate(assignment) if _locked(t)}
-        root = antecedent(next(iter(_bracketings(len(words)))))
-        bare = count_vector(root) == want
-        wrapped = bool(locked) and count_vector(Dia(Mode.I, root)) == want
-
-        def candidates(tree):
-            if bare:
-                yield tree, antecedent(tree)
-            if wrapped:
-                yield from _island_wraps(tree, locked, antecedent)
-
+        k = _wrap_count(antecedent(next(iter(_bracketings(len(words))))), goal, locked)
+        if k is None:
+            continue
         admitted = None
         if checks is not None:
-            chart = _Chart(assignment, locked, goal, int(wrapped), checks)
-            admitted = {format_bracketing(cand, words)
-                        for tree in chart.trees() for cand, _ in candidates(tree)}
+            chart = _Chart(assignment, locked, goal, k, checks)
+            admitted = {format_bracketing(cand, words) for tree in chart.trees()
+                        for cand, _ in _island_wraps(tree, locked, antecedent, k)}
         for tree in _bracketings(len(words)):
-            for cand, ante in candidates(tree):
+            for cand, ante in _island_wraps(tree, locked, antecedent, k):
                 yield ante, (None if admitted is None
                              else format_bracketing(cand, words) in admitted)

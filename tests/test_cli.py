@@ -113,6 +113,20 @@ def test_parse_with_explicit_bracketing(capsys):
     assert code == 0
 
 
+def test_parse_finds_two_island_wraps_unbracketed(capsys):
+    # each adjunct is an island: its bracket is found from the counts
+    for text, goal, bracketing in [
+        ("papers that Bob rejected without reading before studying", "n",
+         "(papers (that (Bob ((rejected i:(without reading)) i:(before studying)))))"),
+        ("Bob rejected the paper without reading the report before studying the room",
+         "s", "(Bob (((rejected (the paper)) i:(without (reading (the report)))) "
+         "i:(before (studying (the room)))))"),
+    ]:
+        code, out, _ = run(capsys, "parse", *text.split(), "--goal", goal, "--json")
+        assert code == 0, text
+        assert json.loads(out)["bracketing"] == bracketing
+
+
 def test_parse_bad_bracketing_exits_2(capsys):
     code, _, err = run(
         capsys, "parse", "Bob", "left",

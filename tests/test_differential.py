@@ -35,6 +35,7 @@ from lambeksem.prover import (
     _bracketings,
     derive_sentence,
     format_bracketing,
+    parse_bracketing,
     validate,
 )
 from lambeksem.tensor import TensorError, TensorStore, eval_diagram, oracle_eval
@@ -79,6 +80,12 @@ PATTERNS = (
 ISLAND = ("N that NP TV DET N ADJ GER", "n", False)
 # two parses, whose top splits differ
 ATTACHMENT = ("N about DET N about NP", "n", True)
+# derivable with two island wraps; left out of the verdict test, where
+# the unpruned search of the longer one runs for seconds and is cut off
+TWO_ADJUNCTS = (
+    ("papers that Bob rejected without reading before studying", "n"),
+    ("Bob rejected Bob without reading Bob before studying Bob", "s"),
+)
 RANDOM_STRINGS = 24
 GOALS = ("s", "n", "np", "wh")
 DEFAULT = SearchConfig()
@@ -179,6 +186,11 @@ def test_chart_skips_only_candidates_the_prover_rejects():
         words = substitute(rng, pattern)
         goal = parse_formula(goal_text)
         assert chart_skips(lex, words, goal, Prover(SearchConfig())) > 0, pattern
+    # two adjuncts: each assignment that passes the count check carries
+    # two wraps
+    for text, goal_text in TWO_ADJUNCTS:
+        assert chart_skips(lex, text.split(), parse_formula(goal_text),
+                           Prover(SearchConfig())) > 0, text
 
 
 def peeled(lex, words, goal):
@@ -244,24 +256,25 @@ def _leftmost_leaf(tree):
     return tree.index
 
 
-def _with_wrap(tree, target):
-    if tree is target:
-        if isinstance(tree, BracketLeaf):
-            return BracketLeaf(tree.index, True)
-        return BracketNode(tree.left, tree.right, True)
+def _with_wraps(tree, targets):
+    """The tree rebuilt, with a wrap over each subtree whose ``id`` is in
+    ``targets``."""
+    wrap = id(tree) in targets
     if isinstance(tree, BracketLeaf):
-        return tree
-    left = _with_wrap(tree.left, target)
-    right = _with_wrap(tree.right, target)
-    if left is tree.left and right is tree.right:
-        return tree
-    return BracketNode(left, right, tree.wrap)
+        return BracketLeaf(tree.index, wrap)
+    return BracketNode(_with_wraps(tree.left, targets),
+                       _with_wraps(tree.right, targets), wrap)
 
 
-def reference_wraps(tree, locked_leaves):
-    for sub in _subtrees(tree):
-        if _leftmost_leaf(sub) in locked_leaves:
-            yield _with_wrap(tree, sub)
+def reference_wraps(tree, locked_leaves, k):
+    """Every set of ``k`` subtrees whose leftmost leaves are distinct
+    locked words, nested sets included, each as the tree with those
+    wrapped: the sets of preorder positions in lexicographic order."""
+    subs = list(_subtrees(tree))
+    for chosen in itertools.combinations(range(len(subs)), k):
+        leaves = [_leftmost_leaf(subs[p]) for p in chosen]
+        if len(set(leaves)) == k and set(leaves) <= locked_leaves:
+            yield _with_wraps(tree, {id(subs[p]) for p in chosen})
 
 
 def reference_antecedent(tree, types):
@@ -305,13 +318,21 @@ def test_island_wraps_match_reference():
         for tree in _bracketings(n):
             for locked in (set(range(n)),
                            {i for i in range(n) if rng.random() < 0.4}):
-                memo: dict = {}
-                got = list(_island_wraps(
-                    tree, locked, lambda t: _antecedent(t, types, memo)))
-                want = list(reference_wraps(tree, locked))
-                assert [format_bracketing(w, words) for w, _ in got] == [
-                    format_bracketing(w, words) for w in want
-                ]
-                assert [f for _, f in got] == [
-                    reference_antecedent(w, types) for w in want
-                ]
+                for k in range(4):
+                    memo: dict = {}
+                    got = list(_island_wraps(
+                        tree, locked, lambda t: _antecedent(t, types, memo), k))
+                    want = list(reference_wraps(tree, locked, k))
+                    assert [format_bracketing(w, words) for w, _ in got] == [
+                        format_bracketing(w, words) for w in want
+                    ], (format_bracketing(tree, words), locked, k)
+                    assert [f for _, f in got] == [
+                        reference_antecedent(w, types) for w in want
+                    ]
+    # wraps inside wraps are among those compared
+    words = ["w0", "w1", "w2"]
+    types = [Atom(w) for w in words]
+    got = [format_bracketing(w, words) for w, _ in _island_wraps(
+        parse_bracketing("(w0 (w1 w2))", words), {0, 1, 2},
+        lambda t: reference_antecedent(t, types), 2)]
+    assert got[:3] == ["i:(w0 i:(w1 w2))", "i:(w0 (i:w1 w2))", "i:(w0 (w1 i:w2))"]

@@ -384,6 +384,35 @@ def test_memoization_and_pruning_are_conservative():
     assert not r1.ok and not r2.ok and not r1.bounded and not r2.bounded
 
 
+def test_counts_fix_the_wrap_count_per_assignment(monkeypatch):
+    # two adjuncts, each an island: the counts ask for two wraps, one per
+    # locked word, and the first parse has both
+    lex = builtin_lexicon()
+    for text, goal, bracketing in [
+        ("papers that Bob rejected without reading before studying", "n",
+         "(papers (that (Bob ((rejected i:(without reading)) i:(before studying)))))"),
+        ("Bob rejected the paper without reading the report before studying the room",
+         "s", "(Bob (((rejected (the paper)) i:(without (reading (the report)))) "
+         "i:(before (studying (the room)))))"),
+    ]:
+        words = text.split()
+        r = derive_sentence(lex, words, parse_formula(goal))
+        assert r.ok and not r.bounded, text
+        assert format_bracketing(r.parses[0].bracketing, words) == bracketing
+    # "<i>s" needs two wraps and the words have one locked word: every
+    # assignment is skipped whole, and the diagnostic names the goal the
+    # unpruned search fails deepest
+    words, goal = "Bob left without reading".split(), parse_formula("<i>s")
+    want = derive_sentence(lex, words, goal, config=SearchConfig(count_pruning=False))
+    calls = []
+    prove_ = Prover.prove
+    monkeypatch.setattr(Prover, "prove", lambda self, g: calls.append(g) or prove_(self, g))
+    got = derive_sentence(lex, words, goal)
+    assert not calls
+    assert search_outcome(got, words) == search_outcome(want, words)
+    assert "deepest failed subgoal: np*((np\\s)/np*<i>(" in got.diagnostics
+
+
 def test_bounded_flag_on_tight_budget():
     g = arrow("a/b", "(a/<x>[x]c)/(b/<x>[x]c)")
     r = prove(g, SearchConfig(max_proof_size=2))

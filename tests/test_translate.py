@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from lambeksem.diagram import box, compose, normalize, tensor_par
+from lambeksem.diagram import DiagramError, box, compose, normalize, tensor_par
 from lambeksem.formula import Box, Dia, Mode, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
@@ -242,5 +242,5 @@ def test_compile_rejects_mismatched_states():
     r = derive_sentence(lex, words, F("s"))
     parse = r.parses[0]
     states = lex.states(words, parse.types)
-    with pytest.raises(Exception):
+    with pytest.raises(DiagramError, match="boundary mismatch"):
         compile_sentence(parse, states[:-1])
