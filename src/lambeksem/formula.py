@@ -400,28 +400,31 @@ def subformula_at(f: Formula, path: Path) -> Formula:
     return cur
 
 
+# The index in ``_parts`` of the child each step names, per node type; a
+# node is rebuilt from its ``_parts`` in order.
+_STEP_PART = {
+    (Tensor, "L"): 0, (Tensor, "R"): 1,
+    (Over, "L"): 0, (Over, "R"): 1,
+    (Under, "L"): 0, (Under, "R"): 1,
+    (Dia, "B"): 1, (Box, "B"): 1,
+}
+
+
 def replace_at(f: Formula, path: Path, new: Formula) -> Formula:
-    if not path:
-        return new
-    step, rest = path[0], path[1:]
-    kids = _children(f)
-    if step not in kids:
-        raise FormulaError(
-            f"no subformula at step {step!r} in {print_formula(f)}"
-        )
-    sub = replace_at(kids[step], rest, new)
-    match f:
-        case Tensor(l, r):
-            return Tensor(sub, r) if step == "L" else Tensor(l, sub)
-        case Over(res, arg):
-            return Over(sub, arg) if step == "L" else Over(res, sub)
-        case Under(arg, res):
-            return Under(sub, res) if step == "L" else Under(arg, sub)
-        case Dia(mode, _):
-            return Dia(mode, sub)
-        case Box(mode, _):
-            return Box(mode, sub)
-    raise TypeError(f"not a formula: {f!r}")
+    """``f`` with the subformula at ``path`` replaced by ``new``."""
+    above = []
+    for step in path:
+        i = _STEP_PART.get((type(f), step))
+        if i is None:
+            raise FormulaError(
+                f"no subformula at step {step!r} in {print_formula(f)}"
+            )
+        above.append((f, i))
+        f = f._parts[i]
+    for node, i in reversed(above):
+        a, b = node._parts
+        new = type(node)(new, b) if i == 0 else type(node)(a, new)
+    return new
 
 
 def polarity_at(f: Formula, path: Path, outer: Polarity = Polarity.POS) -> Polarity:

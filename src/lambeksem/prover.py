@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import (
@@ -62,11 +62,13 @@ class Arrow:
 # Proof terms
 
 
-# terms are never changed once built, so they hash by all their fields
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class ProofTerm:
     """A proof tree; ``source`` and ``target`` are computed from the rule
-    table by the constructors and can be re-derived with :func:`validate`."""
+    table by the constructors and can be re-derived with :func:`validate`.
+    Terms are never changed once built, so each hashes by all its fields,
+    and keeps its hash once computed, as a formula does.  Most terms the
+    search builds are never hashed, so it is computed on first use."""
 
     rule: str
     mode: Mode | None
@@ -74,6 +76,14 @@ class ProofTerm:
     children: tuple["ProofTerm", ...]
     source: Formula
     target: Formula
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.rule, self.mode, self.params, self.children,
+                                   self.source, self.target))
+        return h
 
     @property
     def arrow(self) -> Arrow:
@@ -377,16 +387,21 @@ def _unstrip(term: ProofTerm, steps) -> ProofTerm:
 
 
 def _covariant_positions(f: Formula) -> list[tuple[Path, Formula]]:
-    """Preorder list of positions reachable through products and modals."""
+    """Preorder list of the product and diamond positions reachable
+    through products and modals: the only nodes an application, an
+    unlock or a structural move rewrites."""
     out = []
     stack = [((), f)]
     while stack:
         path, g = stack.pop()
-        out.append((path, g))
-        if isinstance(g, Tensor):
+        if type(g) is Tensor:
+            out.append((path, g))
             stack.append((path + ("R",), g.right))
             stack.append((path + ("L",), g.left))
-        elif isinstance(g, (Dia, Box)):
+        elif type(g) is Dia:
+            out.append((path, g))
+            stack.append((path + ("B",), g.body))
+        elif type(g) is Box:
             stack.append((path + ("B",), g.body))
     return out
 
@@ -529,7 +544,7 @@ class Prover:
         reject that goal at once; the second goal then always passes it.
         """
         # direct monotonicity on the (stripped) succedent
-        if isinstance(rhs, Tensor) and isinstance(lhs, Tensor):
+        if type(rhs) is Tensor and type(lhs) is Tensor:
             a, b, c, d = lhs.left, lhs.right, rhs.left, rhs.right
             if not (prune and count_vector(a) != count_vector(c)):
                 yield (
@@ -538,20 +553,16 @@ class Prover:
                     lambda ts: mon_tensor(ts[0], ts[1]),
                     0,
                 )
-        if (
-            isinstance(rhs, Dia)
-            and isinstance(lhs, Dia)
-            and lhs.mode is rhs.mode
-        ):
+        if type(rhs) is Dia and type(lhs) is Dia and lhs.mode is rhs.mode:
             m, a, b = lhs.mode, lhs.body, rhs.body
             yield (a, b), None, lambda ts, m=m: mon_dia(m, ts[0]), 0
         positions = _covariant_positions(lhs)
         # slash applications at any covariant product node
         for path, sub in positions:
-            if not isinstance(sub, Tensor):
+            if type(sub) is not Tensor:
                 continue
             l, r = sub.left, sub.right
-            if isinstance(l, Over):
+            if type(l) is Over:
                 res, arg = l.result, l.arg
                 if not (prune and count_vector(r) != count_vector(arg)):
 
@@ -566,7 +577,7 @@ class Prover:
                         build_fwd,
                         0,
                     )
-            if isinstance(r, Under):
+            if type(r) is Under:
                 arg, res = r.arg, r.result
                 if not (prune and count_vector(l) != count_vector(arg)):
 
@@ -583,11 +594,7 @@ class Prover:
                     )
         # unlock a diamond-box pair
         for path, sub in positions:
-            if (
-                isinstance(sub, Dia)
-                and isinstance(sub.body, Box)
-                and sub.body.mode is sub.mode
-            ):
+            if type(sub) is Dia and type(sub.body) is Box and sub.body.mode is sub.mode:
                 inner_f = sub.body.body
                 rewritten = replace_at(lhs, path, inner_f)
 
@@ -602,9 +609,9 @@ class Prover:
             for rule in (alpha, sigma):
                 for path, sub in positions:
                     if not (
-                        isinstance(sub, Tensor)
-                        and isinstance(sub.left, Tensor)
-                        and isinstance(sub.right, Dia)
+                        type(sub) is Tensor
+                        and type(sub.left) is Tensor
+                        and type(sub.right) is Dia
                         and sub.right.mode is Mode.X
                     ):
                         continue
@@ -1043,9 +1050,12 @@ class _Chart:
             hs for size in range(1, _MAX_HYPS + 1)
             for hs in itertools.combinations_with_replacement(self.names, size)
         ]
-        # the most wraps a span can hold: one per word of it a wrap can start at
-        self._wraps = {(i, j): min(k, sum(w in locked for w in range(i, j)))
-                       for i in range(n) for j in range(i + 1, n + 1)}
+        # the most wraps a span can hold: one per word of it a wrap can
+        # start at, counted as the locked words before each end
+        self._locked_before = list(itertools.accumulate(
+            (w in locked for w in range(n)), initial=0))
+        self._class_lists = [[(w, hs) for w in range(most + 1) for hs in self.hyp_sets]
+                             for most in range(k + 1)]
         items: dict = {}
         for width in range(1, n + 1):
             for i in range(n - width + 1):
@@ -1063,7 +1073,9 @@ class _Chart:
     # -- the span table
 
     def _classes(self, span):
-        return [(w, hs) for w in range(self._wraps[span] + 1) for hs in self.hyp_sets]
+        i, j = span
+        before = self._locked_before
+        return self._class_lists[min(self.k, before[j] - before[i])]
 
     def _span(self, items, i, j, locked) -> dict:
         """The items of span (i, j), each mapped to its derivations:
@@ -1125,12 +1137,18 @@ class _Chart:
                     joined = _join(c, cf, self.k)
                     if joined:
                         yield joined, (c, None)
-        elif kind == "other" or kind == "product" or isinstance(arg, Atom):
+        elif type(arg) is Atom:
+            for c in self._classes(span):
+                if (c, arg) in side:
+                    joined = _join(c, cf, self.k)
+                    if joined:
+                        yield joined, (c, arg)
+        elif kind == "other" or kind == "product":
             for c in self._classes(span):
                 joined = _join(c, cf, self.k)
                 if joined is None:
                     continue
-                if kind == "other" or kind == "product" and c[1]:
+                if kind == "other" or c[1]:
                     yield joined, (c, None)
                 elif (c, arg) in side:
                     yield joined, (c, arg)
@@ -1214,41 +1232,39 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
     the count check skips, the stripped goal of its first candidate is
     recorded in ``failures``, as the prover would record it.
 
-    With ``charted``, only the first candidate of an assignment comes
-    before its chart is built: short sentences are often proved by it,
-    for less than the chart costs.  After it come the candidates over the
-    trees the chart yields, which ``Prover.prove`` decides one by one;
-    the goal the first fails on is as large as any candidate's."""
-    checks = _Checks(config) if charted else None
+    With ``charted``, each assignment's chart is built first, and only
+    the candidates over the trees it yields come, for ``Prover.prove`` to
+    decide one by one.  When the chart skips the first candidate, its
+    stripped goal is recorded in ``failures`` too: no goal the prover
+    meets on any candidate of the assignment has a larger antecedent."""
+    checks = None
     for assignment in itertools.product(*choices):
         memo: dict = {}
         antecedent = lambda tree: _antecedent(tree, assignment, memo)
         locked = set() if explicit else {i for i, t in enumerate(assignment) if _locked(t)}
         first = next(iter(trees))
+        # the stripped goal of the first candidate with ``wraps`` wraps
+        first_goal = lambda wraps: _strip(
+            next(_island_wraps(first, locked, antecedent, wraps))[1], goal)[:2]
         ks = range(len(locked) + 1)
         if config.count_pruning:
             k = _wrap_count(antecedent(first), goal, locked)
             for skipped in (w for w in ks if w != k):
-                _, ante = next(_island_wraps(first, locked, antecedent, skipped))
-                failures.record_failure(*_strip(ante, goal)[:2])
+                failures.record_failure(*first_goal(skipped))
             if k is None:
                 continue
             ks = (k,)
-        candidates = lambda tree: (
-            c for k in ks for c in _island_wraps(tree, locked, antecedent, k))
-        tried, rest = None, trees
-        if checks is not None:
-            tried, ante = next(candidates(first))
-            yield assignment, tried, ante
-            rest = _Chart(assignment, locked, goal, k, checks).trees()
-        for tree in rest:
-            for cand, ante in candidates(tree):
-                # the candidate tried first can only come first here
-                if tried is not None:
-                    tried, seen = None, cand == tried
-                    if seen:
-                        continue
-                yield assignment, cand, ante
+        kept = trees
+        if charted:
+            # built once an assignment passes the count check
+            checks = checks or _Checks(config)
+            kept = _Chart(assignment, locked, goal, k, checks).trees()
+            if next(iter(kept), None) != first:
+                failures.record_failure(*first_goal(k))
+        for tree in kept:
+            for wraps in ks:
+                for cand, ante in _island_wraps(tree, locked, antecedent, wraps):
+                    yield assignment, cand, ante
 
 
 def _charted(choices, goal: Formula, config: SearchConfig) -> bool:
@@ -1301,12 +1317,12 @@ def derive_sentence(
     ``s/<x>[x](gp\\gp)``, or more than two (:func:`_charted`).  Per
     assignment, it tabulates what each span can reduce to and enumerates
     only the bracketings whose every split can reach the goal;
-    ``Prover.prove`` decides each of their candidates, and each
-    assignment's first candidate, which goes to the prover before the
-    chart is built.  The order of the candidates, and so the first
-    parse's bracketing, is unchanged.  Such a search is capped at
-    ``MAX_SEARCH_WORDS`` words, any other unbracketed one at
-    ``MAX_UNCHARTED_WORDS``.
+    ``Prover.prove`` decides each of their candidates, and no other.  The
+    order of the candidates, and so the first parse's bracketing, is
+    unchanged.  When the chart skips an assignment's first candidate,
+    that candidate's stripped goal counts as a failed one, as for a
+    skipped wrap count.  Such a search is capped at ``MAX_SEARCH_WORDS``
+    words, any other unbracketed one at ``MAX_UNCHARTED_WORDS``.
 
     The words come into the search only through their types, and the
     bracketing names them by index.  So once the input is checked here,

@@ -123,6 +123,47 @@ def test_paths_and_replacement():
         subformula_at(f, ("B",))
 
 
+def reference_replace_at(f, path, new):
+    """``replace_at`` rebuilt step by step from each node's children."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    match f:
+        case Tensor(l, r) | Over(l, r) | Under(l, r):
+            kids = {"L": l, "R": r}
+        case Dia(_, body) | Box(_, body):
+            kids = {"B": body}
+        case _:
+            kids = {}
+    if step not in kids:
+        raise FormulaError(f"no subformula at step {step!r} in {print_formula(f)}")
+    sub = reference_replace_at(kids[step], rest, new)
+    match f:
+        case Tensor(l, r) | Over(l, r) | Under(l, r):
+            return type(f)(sub, r) if step == "L" else type(f)(l, sub)
+        case Dia(mode, _) | Box(mode, _):
+            return type(f)(mode, sub)
+
+
+def test_replace_at_matches_the_reference(rng):
+    new = parse_formula("<x>[x](np*s)")
+    for _ in range(200):
+        f = random_formula(rng)
+        for path, _, _ in iter_atoms(f):
+            for end in range(len(path) + 1):
+                prefix = path[:end]
+                got = replace_at(f, prefix, new)
+                assert got == reference_replace_at(f, prefix, new), (f, prefix)
+                assert subformula_at(got, prefix) == new
+            # a step past an atom, or one its parent does not have
+            for bad in (path + ("L",), path[:-1] + ("B" if path[-1:] != ("B",) else "L",)):
+                with pytest.raises(FormulaError) as got_err:
+                    replace_at(f, bad, new)
+                with pytest.raises(FormulaError) as want_err:
+                    reference_replace_at(f, bad, new)
+                assert str(got_err.value) == str(want_err.value)
+
+
 def test_polarity_rules():
     f = parse_formula("(np\\s)/np")
     # s positive, both np occurrences negative

@@ -268,7 +268,9 @@ def test_proof_json_round_trip():
     rules = set()
     for t, g in proofs:
         back = proof_from_json(proof_to_json(t))
-        assert back == t
+        # a term keeps its hash once computed; an equal term built apart
+        # hashes the same
+        assert back == t and hash(back) == hash(t) == hash(back)
         assert validate(back) == g
         stack = [t]
         while stack:
@@ -557,6 +559,43 @@ def test_chart_rejects_a_gap_outside_the_island_without_the_candidates(monkeypat
     r = derive_sentence(lex, words, goal)
     assert not r.ok and not r.bounded
     assert len(calls) < candidates
+
+
+def test_no_candidate_the_chart_rejects_reaches_the_prover(monkeypatch):
+    # the chart rejects every candidate, the first one included; the
+    # chart's own checks of its arguments go to a prover too, but never
+    # on a candidate's antecedent
+    lex = builtin_lexicon()
+    words, goal = "window that Bob left the room without closing".split(), parse_formula("n")
+    candidates = list(sentence_candidates(lex, words, goal))
+    assert candidates and not any(admitted for _, admitted in candidates)
+    antecedents = {ante for ante, _ in candidates}
+    calls = []
+    prove_ = Prover.prove
+    monkeypatch.setattr(Prover, "prove", lambda self, g: calls.append(g) or prove_(self, g))
+    r = derive_sentence(lex, words, goal)
+    assert calls and not [g for g in calls if g.source in antecedents]
+    assert not r.ok and not r.bounded
+    assert r.diagnostics == (
+        "no bracketing succeeded; deepest failed subgoal: "
+        "n*((n\\n)/(np/<x>[x]np*(np\\s)/<x>[x]np)*(np*((np\\s)/np*(np/n*(n*"
+        "<i>([i](((np\\s)/<x>[x]np)\\((np\\s)/np))/gp/<x>[x]np*gp/np)))))) -> n"
+    )
+
+
+def test_a_skipped_first_candidate_names_its_stripped_goal():
+    # an atomic goal: the stripped goal is the one the prover fails last
+    # and deepest on that candidate, so the diagnostic is unchanged
+    lex = builtin_lexicon()
+    r = derive_sentence(lex, ["proposal", "thoroughly"], parse_formula("n"))
+    assert not r.ok
+    assert r.diagnostics.endswith("deepest failed subgoal: n*gp\\gp -> n")
+    # a gap goal: the prover would fail first on a goal alpha rearranges,
+    # as large as the stripped one; the stripped goal itself is named
+    r = derive_sentence(lex, ["reject", "Bob"], parse_formula("s/<x>[x]np"))
+    assert not r.ok and not r.bounded
+    assert r.diagnostics.endswith(
+        "deepest failed subgoal: ((np\\s)/np*np)*<x>[x]np -> s")
 
 
 def search_outcome(result, words):

@@ -13,6 +13,8 @@ from lambeksem.prover import (
     Arrow,
     compose as pcompose,
     derive_sentence,
+    proof_from_json,
+    proof_to_json,
     prove,
     sigma,
 )
@@ -201,6 +203,10 @@ def test_link_diagram_is_kept_per_proof():
     states2 = lex.states(other, parse2.types)
     via_links = compile_sentence(parse2, states2)
     assert _proof_links.cache_info().hits == hits + 1
+    # a term read back from JSON is equal, not the same object: it too
+    # is read from the cache
+    assert _proof_links(proof_from_json(proof_to_json(parse2.proof))) is _proof_links(parse2.proof)
+    assert _proof_links.cache_info().hits == hits + 3
     dims = {"N": 3, "S": 2}
     v1 = eval_diagram(normalize(via_links), TensorStore(dims, seed=5))
     v2 = eval_diagram(normalize(proof_meaning(parse2, states2)),
