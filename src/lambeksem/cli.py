@@ -73,7 +73,10 @@ def _parse_dims(text: str) -> dict[str, int]:
         name, _, value = item.partition("=")
         if not name or not value:
             raise UsageError(f"cannot parse dimension {item!r}, want NAME=SIZE")
-        dims[name.strip()] = int(value)
+        name = name.strip()
+        if name in dims:
+            raise UsageError(f"space {name!r} is given twice in --dims")
+        dims[name] = int(value)
     if not dims:
         raise UsageError("empty --dims")
     return dims

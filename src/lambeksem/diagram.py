@@ -264,28 +264,6 @@ class Builder:
     def wire(self, prod: Port, cons: Port) -> None:
         self.wires.append((prod, cons))
 
-    def inline(self, sub: Diagram, feed: list[Port], deliver: list[Port]) -> None:
-        """Splice ``sub`` into this diagram.
-
-        ``feed[k]`` is the producer port standing in for ``sub``'s input
-        ``k``; ``deliver[k]`` the consumer port for its output ``k``.
-        """
-        if len(feed) != len(sub.inputs) or len(deliver) != len(sub.outputs):
-            raise DiagramError("inline boundary size mismatch")
-        mapping = {}
-        for n in sub.nodes:
-            mapping[n.nid] = self.add_node(n.kind, n.ins, n.outs, n.name)
-        for prod, cons in sub.wires:
-            if prod[0] == "I":
-                prod = feed[prod[1]]
-            else:
-                prod = (prod[0], mapping[prod[1]], prod[2])
-            if cons[0] == "O":
-                cons = deliver[cons[1]]
-            else:
-                cons = (cons[0], mapping[cons[1]], cons[2])
-            self.wire(prod, cons)
-
     def diagram(self) -> Diagram:
         d = Diagram(
             tuple(self.inputs), tuple(self.outputs), tuple(self.nodes), tuple(self.wires)

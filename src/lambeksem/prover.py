@@ -641,8 +641,8 @@ def prove(goal: Arrow, config: SearchConfig | None = None) -> SearchResult:
 class BracketNode:
     """A binary bracketing over word indices; ``wrap`` marks island brackets."""
 
-    left: "BracketNode | int"
-    right: "BracketNode | int"
+    left: "BracketNode | BracketLeaf"
+    right: "BracketNode | BracketLeaf"
     wrap: bool = False
 
 
@@ -782,6 +782,13 @@ def _bracketings(n: int, splits: Mapping | None = None) -> _Trees:
             ks = range(i + 1, j) if splits is None else splits.get((i, j), ())
             spans[i, j] = _Trees([], _joined([(spans[i, k], spans[k, j]) for k in ks]))
     return spans[0, n]
+
+
+def _right_branching(n: int) -> BracketNode | BracketLeaf:
+    """The first tree of ``_bracketings(n)``: every node splits off its
+    leftmost leaf."""
+    return functools.reduce(lambda right, i: BracketNode(BracketLeaf(i), right),
+                            reversed(range(n - 1)), BracketLeaf(n - 1))
 
 
 def _locked(f: Formula) -> bool:
@@ -1234,9 +1241,10 @@ def _candidates(choices, goal, trees, explicit, config, charted, failures) -> It
 
     With ``charted``, each assignment's chart is built first, and only
     the candidates over the trees it yields come, for ``Prover.prove`` to
-    decide one by one.  When the chart skips the first candidate, its
-    stripped goal is recorded in ``failures`` too: no goal the prover
-    meets on any candidate of the assignment has a larger antecedent."""
+    decide one by one; of ``trees`` only the first is read.  When the
+    chart skips the first candidate, its stripped goal is recorded in
+    ``failures`` too: no goal the prover meets on any candidate of the
+    assignment has a larger antecedent."""
     checks = None
     for assignment in itertools.product(*choices):
         memo: dict = {}
@@ -1376,7 +1384,10 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
     n = len(choices)
     if tree is None:
         charted = _charted(choices, goal, config)
-        trees, explicit = _bracketings(n), False
+        # a charted search reads only the first, right-branching tree;
+        # its chart enumerates the trees it keeps
+        trees = (_right_branching(n),) if charted else _bracketings(n)
+        explicit = False
     else:
         charted = False
         trees, explicit = (tree,), _explicit_wrap(tree, n)

@@ -61,6 +61,9 @@ class TensorStore:
 
     def __init__(self, dims: dict[str, int], seed: int = 0, tensors=None, generate: bool = True):
         self.dims = dict(dims)
+        for space, size in self.dims.items():
+            if size < 1:
+                raise TensorError(f"space {space!r} needs a dimension of 1 or more, not {size}")
         self.seed = int(seed)
         self.generate = bool(generate)
         self.tensors: dict[str, TensorValue] = {}

@@ -28,7 +28,9 @@ from .diagram import (
     Diagram,
     DiagramError,
     WireType,
+    cap,
     compose,
+    cup,
     dual_type,
     identity,
     permutation,
@@ -143,47 +145,47 @@ def _dual_block(b: AtomBlock, total: int) -> AtomBlock:
 # -- proofs to diagrams
 
 
-def _ev_cups(bld: Builder, base: int, n: int, spaces) -> None:
-    """Cup the dual block at [base, base+n) against the plain block at
-    [base+n, base+2n), innermost pair first."""
-    for t in range(n):
-        sp = spaces[t]
-        nid = bld.add_node("cup", (sp, sp), ())
-        bld.wire(("I", base + n - 1 - t), ("i", nid, 0))
-        bld.wire(("I", base + n + t), ("i", nid, 1))
+def _cups(w: WireType) -> Diagram:
+    """Nested cups closing ``w``: wire t meets wire len(w)-1-t."""
+    d = identity(())
+    for t in reversed(range(len(w) // 2)):
+        x, y = w[t:t + 1], w[len(w) - 1 - t:len(w) - t]
+        d = compose(tensor_par(tensor_par(identity(x), d), identity(y)), cup(*x[0]))
+    return d
+
+
+def _caps(w: WireType) -> Diagram:
+    """Nested caps opening ``w``: wire t meets wire len(w)-1-t."""
+    d = identity(())
+    for t in reversed(range(len(w) // 2)):
+        x, y = w[t:t + 1], w[len(w) - 1 - t:len(w) - t]
+        d = compose(cap(*x[0]), tensor_par(tensor_par(identity(x), d), identity(y)))
+    return d
 
 
 def transpose_diagram(g: Diagram) -> Diagram:
-    """The name-dual of a map: caps on the source side, cups on the
-    target side, with both boundary blocks reversed and flipped."""
-    bld = Builder()
-    for sp, dl in dual_type(g.outputs):
-        bld.add_input(sp, dl)
-    for sp, dl in dual_type(g.inputs):
-        bld.add_output(sp, dl)
-    n_in, n_out = len(g.inputs), len(g.outputs)
-    feed = []
-    for k in range(n_in):
-        sp = g.inputs[k][0]
-        nid = bld.add_node("cap", (), (sp, sp))
-        bld.wire(("o", nid, 0), ("O", n_in - 1 - k))
-        feed.append(("o", nid, 1))
-    deliver = []
-    for k in range(n_out):
-        sp = g.outputs[k][0]
-        nid = bld.add_node("cup", (sp, sp), ())
-        bld.wire(("I", n_out - 1 - k), ("i", nid, 0))
-        deliver.append(("i", nid, 1))
-    bld.inline(g, feed, deliver)
-    return bld.diagram()
+    """The name-dual of a map X -> Y, from Y* to X*: the snake of caps
+    opening X* X, the map, and cups closing Y Y*."""
+    xd, yd = dual_type(g.inputs), dual_type(g.outputs)
+    opened = tensor_par(_caps(xd + g.inputs), identity(yd))
+    mapped = tensor_par(tensor_par(identity(xd), g), identity(yd))
+    closed = tensor_par(identity(xd), _cups(g.outputs + yd))
+    return compose(compose(opened, mapped), closed)
 
 
 def interpret_proof(term: ProofTerm) -> Diagram:
-    w_in = interpret_type(term.source)
-    w_out = interpret_type(term.target)
+    """The diagram of a proof along the proof homomorphism.
+
+    Evaluation is the identity beside the cups closing the argument
+    against its dual (ev = id ⊗ cups), coevaluation the identity beside
+    the caps opening them (coev = id ⊗ caps), and monotonicity under a
+    slash transposes the argument's map by the snake of caps, map and
+    cups.  The modal and associativity rules move no wire; commutation
+    is a block permutation.
+    """
     match term.rule:
-        case "id" | "ev_box" | "coev_box":
-            return identity(w_in)
+        case "id" | "ev_box" | "coev_box" | "alpha":
+            return identity(interpret_type(term.source))
         case "compose":
             g, f = term.children
             return compose(interpret_proof(f), interpret_proof(g))
@@ -199,91 +201,37 @@ def interpret_proof(term: ProofTerm) -> Diagram:
             f, g = term.children
             return tensor_par(transpose_diagram(interpret_proof(f)), interpret_proof(g))
         case "ev_over":
-            # (B/A) * A -> B: keep the B wires, cup A* against A
-            b = term.target
-            wb, wa = interpret_type(b), interpret_type(term.source.right)
-            bld = Builder()
-            for sp, dl in w_in:
-                bld.add_input(sp, dl)
-            for k, (sp, dl) in enumerate(wb):
-                bld.add_output(sp, dl)
-                bld.wire(("I", k), ("O", k))
-            _ev_cups(bld, len(wb), len(wa), [s for s, _ in wa])
-            return bld.diagram()
+            # (B/A) * A -> B
+            wa, wb = map(interpret_type, term.params)
+            return tensor_par(identity(wb), _cups(dual_type(wa) + wa))
         case "ev_under":
             # A * (A\B) -> B
-            wa = interpret_type(term.source.left)
-            wb = interpret_type(term.target)
-            bld = Builder()
-            for sp, dl in w_in:
-                bld.add_input(sp, dl)
-            n = len(wa)
-            for t in range(n):
-                sp = wa[t][0]
-                nid = bld.add_node("cup", (sp, sp), ())
-                bld.wire(("I", t), ("i", nid, 0))
-                bld.wire(("I", 2 * n - 1 - t), ("i", nid, 1))
-            for k, (sp, dl) in enumerate(wb):
-                bld.add_output(sp, dl)
-                bld.wire(("I", 2 * n + k), ("O", k))
-            return bld.diagram()
+            wa, wb = map(interpret_type, term.params)
+            return tensor_par(_cups(wa + dual_type(wa)), identity(wb))
         case "coev_over":
             # B -> (B*A)/A
-            wb = interpret_type(term.source)
-            wa = interpret_type(term.target.arg)
-            bld = Builder()
-            for sp, dl in w_in:
-                bld.add_input(sp, dl)
-            for sp, dl in w_out:
-                bld.add_output(sp, dl)
-            for k in range(len(wb)):
-                bld.wire(("I", k), ("O", k))
-            n = len(wa)
-            for t in range(n):
-                sp = wa[t][0]
-                nid = bld.add_node("cap", (), (sp, sp))
-                bld.wire(("o", nid, 0), ("O", len(wb) + t))
-                bld.wire(("o", nid, 1), ("O", len(wb) + 2 * n - 1 - t))
-            return bld.diagram()
+            wa, wb = map(interpret_type, term.params)
+            return tensor_par(identity(wb), _caps(wa + dual_type(wa)))
         case "coev_under":
             # B -> A\(A*B)
-            wb = interpret_type(term.source)
-            wa = interpret_type(term.target.arg)
-            bld = Builder()
-            for sp, dl in w_in:
-                bld.add_input(sp, dl)
-            for sp, dl in w_out:
-                bld.add_output(sp, dl)
-            n = len(wa)
-            for t in range(n):
-                sp = wa[t][0]
-                nid = bld.add_node("cap", (), (sp, sp))
-                bld.wire(("o", nid, 0), ("O", n - 1 - t))
-                bld.wire(("o", nid, 1), ("O", n + t))
-            for k in range(len(wb)):
-                bld.wire(("I", k), ("O", 2 * n + k))
-            return bld.diagram()
-        case "alpha":
-            # no wire moves at all
-            return identity(w_in)
+            wa, wb = map(interpret_type, term.params)
+            return tensor_par(_caps(dual_type(wa) + wa), identity(wb))
         case "sigma":
             # (A*B) * <x>C -> (A*<x>C) * B: swap the B and C blocks
-            a, b, c = term.params
-            la = len(interpret_type(a))
-            lb = len(interpret_type(b))
-            lc = len(interpret_type(c))
-            perm = list(range(la))
-            perm += [la + lc + i for i in range(lb)]
-            perm += [la + i for i in range(lc)]
-            return permutation(w_in, perm)
+            wa, wb, wc = map(interpret_type, term.params)
+            la, lb, lc = len(wa), len(wb), len(wc)
+            perm = [*range(la), *range(la + lc, la + lc + lb), *range(la, la + lc)]
+            return permutation(wa + wb + wc, perm)
     raise DiagramError(f"cannot interpret proof rule {term.rule!r}")
 
 
 # -- axiom linkings
 
 
-def _straight(n: int) -> frozenset:
-    return frozenset(frozenset((("s", i), ("t", i))) for i in range(n))
+def _parallel(n: int, side: str, at: int, side2: str, at2: int) -> frozenset:
+    """The n in-order links from the run of atoms at ``at`` on ``side``
+    to the run at ``at2`` on ``side2``."""
+    return frozenset(frozenset(((side, at + i), (side2, at2 + i))) for i in range(n))
 
 
 def _remap(links, fn) -> frozenset:
@@ -293,12 +241,12 @@ def _remap(links, fn) -> frozenset:
 def _term_links(term: ProofTerm) -> frozenset:
     match term.rule:
         case "id" | "ev_box" | "coev_box" | "alpha":
-            return _straight(term.source.n_atoms)
+            return _parallel(term.source.n_atoms, "s", 0, "t", 0)
         case "mon_dia" | "mon_box":
             return _term_links(term.children[0])
         case "compose":
             g, f = term.children
-            return _glue(_term_links(f), _term_links(g), f.target.n_atoms)
+            return _glue(_term_links(f), _term_links(g))
         case "mon_tensor":
             f, g = term.children
             ds, dt = f.source.n_atoms, f.target.n_atoms
@@ -340,55 +288,30 @@ def _term_links(term: ProofTerm) -> frozenset:
             return _remap(_term_links(f), turn) | _remap(_term_links(g), shift)
         case "ev_over":
             # (B/A) * A -> B
-            a, b = term.params
-            na, nb = a.n_atoms, b.n_atoms
-            links = {frozenset((("s", i), ("t", i))) for i in range(nb)}
-            links |= {
-                frozenset((("s", nb + i), ("s", nb + na + i))) for i in range(na)
-            }
-            return frozenset(links)
+            na, nb = (p.n_atoms for p in term.params)
+            return _parallel(nb, "s", 0, "t", 0) | _parallel(na, "s", nb, "s", nb + na)
         case "ev_under":
             # A * (A\B) -> B
-            a, b = term.params
-            na, nb = a.n_atoms, b.n_atoms
-            links = {frozenset((("s", i), ("s", na + i))) for i in range(na)}
-            links |= {
-                frozenset((("s", 2 * na + i), ("t", i))) for i in range(nb)
-            }
-            return frozenset(links)
+            na, nb = (p.n_atoms for p in term.params)
+            return _parallel(na, "s", 0, "s", na) | _parallel(nb, "s", 2 * na, "t", 0)
         case "coev_over":
             # B -> (B*A)/A
-            a, b = term.params
-            na, nb = a.n_atoms, b.n_atoms
-            links = {frozenset((("s", i), ("t", i))) for i in range(nb)}
-            links |= {
-                frozenset((("t", nb + i), ("t", nb + na + i))) for i in range(na)
-            }
-            return frozenset(links)
+            na, nb = (p.n_atoms for p in term.params)
+            return _parallel(nb, "s", 0, "t", 0) | _parallel(na, "t", nb, "t", nb + na)
         case "coev_under":
             # B -> A\(A*B)
-            a, b = term.params
-            na, nb = a.n_atoms, b.n_atoms
-            links = {frozenset((("t", i), ("t", na + i))) for i in range(na)}
-            links |= {
-                frozenset((("s", i), ("t", 2 * na + i))) for i in range(nb)
-            }
-            return frozenset(links)
+            na, nb = (p.n_atoms for p in term.params)
+            return _parallel(na, "t", 0, "t", na) | _parallel(nb, "s", 0, "t", 2 * na)
         case "sigma":
-            a, b, c = term.params
-            na, nb, nc = a.n_atoms, b.n_atoms, c.n_atoms
-            links = {frozenset((("s", i), ("t", i))) for i in range(na)}
-            links |= {
-                frozenset((("s", na + i), ("t", na + nc + i))) for i in range(nb)
-            }
-            links |= {
-                frozenset((("s", na + nb + i), ("t", na + i))) for i in range(nc)
-            }
-            return frozenset(links)
+            # (A*B) * <x>C -> (A*<x>C) * B
+            na, nb, nc = (p.n_atoms for p in term.params)
+            return (_parallel(na, "s", 0, "t", 0)
+                    | _parallel(nb, "s", na, "t", na + nc)
+                    | _parallel(nc, "s", na + nb, "t", na))
     raise DiagramError(f"cannot link proof rule {term.rule!r}")
 
 
-def _glue(lf: frozenset, lg: frozenset, n_mid: int) -> frozenset:
+def _glue(lf: frozenset, lg: frozenset) -> frozenset:
     """Compose two linkings along the shared middle formula.
 
     Middle occurrences pair up twice, once per side; following the
@@ -555,12 +478,14 @@ def compile_sentence(parse, states) -> Diagram:
     side by side and the proof's linking wires them together; goal wires
     come out as the boundary.
     """
-    state = states[0]
-    for s in states[1:]:
-        state = tensor_par(state, s)
     # the link diagram's inputs are the antecedent's wires, so compose
     # checks that the networks line up with the parsed types
-    return compose(state, _proof_links(parse.proof))
+    return compose(_side_by_side(states), _proof_links(parse.proof))
+
+
+def _side_by_side(states) -> Diagram:
+    """The word networks placed side by side, in sentence order."""
+    return functools.reduce(tensor_par, states)
 
 
 # Proof terms hash and compare by their fields and diagrams are frozen,
@@ -578,7 +503,4 @@ def proof_meaning(parse, states) -> Diagram:
     Same boundary as ``compile_sentence``; the two agree under
     evaluation, which makes them a useful cross-check of each other.
     """
-    state = states[0]
-    for s in states[1:]:
-        state = tensor_par(state, s)
-    return compose(state, interpret_proof(parse.proof))
+    return compose(_side_by_side(states), interpret_proof(parse.proof))

@@ -307,11 +307,24 @@ def test_eval_check_closed_form(capsys):
     assert doc["closed_form_max_abs_diff"] <= 1e-9
 
 
-def test_eval_bad_dims_exits_2(capsys):
+def test_eval_bad_dims_exits_2(tmp_path, capsys):
     code, _, err = run(
         capsys, "eval", "Bob", "left", "the", "room", "--dims", "N=zero"
     )
     assert code == 2
+    # a size below 1, or a space given twice, is a stated error, whether
+    # it comes from --dims or from a store file
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(
+        {"schema": "tensors/1", "dims": {"N": 0, "S": 2}, "seed": 0, "tensors": {}}))
+    words = ("papers", "that", "Bob", "rejected", "without", "reading", "--goal", "n",
+             "--check")
+    for source in (("--dims", "N=0,S=2"), ("--dims", "N=-1,S=2"),
+                   ("--dims", "N=2,S=2,N=3"), ("--store", str(store))):
+        code, out, err = run(capsys, "eval", *words, *source)
+        assert code == 2 and not out, source
+        assert err.startswith("error: ") and "'N'" in err, source
+        assert "Traceback" not in err, source
     # an N x S x N verb at these dims would need about 8 PB
     code, out, err = run(
         capsys, "eval", "papers", "that", "Bob", "rejected", "without",

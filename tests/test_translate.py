@@ -11,8 +11,19 @@ from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     SEARCH_CACHE_SIZE,
     Arrow,
+    alpha,
+    coev_box,
+    coev_over,
+    coev_under,
     compose as pcompose,
     derive_sentence,
+    ev_box,
+    ev_over,
+    ev_under,
+    mon_over,
+    mon_tensor,
+    mon_under,
+    pid,
     proof_from_json,
     proof_to_json,
     prove,
@@ -182,6 +193,38 @@ def test_link_route_agrees_with_hom_route():
         v2 = eval_diagram(via_hom, store)
         np.testing.assert_allclose(v1.array, v2.array, rtol=1e-9, atol=1e-12)
         assert normalize(via_links).to_json() == normalize(via_hom).to_json()
+
+
+# each axiom's constructor with the number of formulas it takes
+AXIOMS = (
+    (pid, 1), (ev_over, 2), (ev_under, 2), (coev_over, 2), (coev_under, 2),
+    (lambda a: ev_box(Mode.X, a), 1), (lambda a: coev_box(Mode.I, a), 1),
+    (alpha, 3), (sigma, 3),
+)
+
+
+def test_routes_agree_rule_by_rule(rng):
+    # the sentence-level check meets only the params bundled sentences
+    # use; here every axiom, monotonicity over axioms and composites meet
+    # random ones over all of conftest's atoms, flipped two-wire gp and
+    # ap included
+    def axiom(build, arity):
+        return build(*(random_formula(rng, depth=2) for _ in range(arity)))
+
+    def agree(term):
+        via_hom = normalize(interpret_proof(term))
+        via_links = normalize(link_diagram(extract_axiom_links(term)))
+        assert via_hom.to_json() == via_links.to_json(), term.rule
+
+    for spec in AXIOMS:
+        for _ in range(25):
+            agree(axiom(*spec))
+    for _ in range(60):
+        f, g = (axiom(*rng.choice(AXIOMS)) for _ in range(2))
+        for mon in (mon_over, mon_under, mon_tensor):
+            agree(mon(f, g))
+    for f, g in composable_proof_pairs(rng, 40):
+        agree(pcompose(g, f))
 
 
 def test_link_diagram_is_kept_per_proof():
