@@ -71,12 +71,16 @@ def _parse_dims(text: str) -> dict[str, int]:
         if not item:
             continue
         name, _, value = item.partition("=")
-        if not name or not value:
-            raise UsageError(f"cannot parse dimension {item!r}, want NAME=SIZE")
         name = name.strip()
+        try:
+            size = int(value)
+        except ValueError:
+            size = None
+        if not name or size is None:
+            raise UsageError(f"cannot parse dimension {item!r}, want NAME=SIZE")
         if name in dims:
             raise UsageError(f"space {name!r} is given twice in --dims")
-        dims[name] = int(value)
+        dims[name] = size
     if not dims:
         raise UsageError("empty --dims")
     return dims

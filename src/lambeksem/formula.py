@@ -339,26 +339,41 @@ def _needs_parens(child: Formula, side: str, parent: str) -> bool:
 
 
 def print_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; ``parse_formula`` round-trips it."""
-
-    def wrap(child: Formula, side: str, parent: str) -> str:
-        s = print_formula(child)
-        return f"({s})" if _needs_parens(child, side, parent) else s
-
-    match f:
-        case Atom(name):
-            return name
-        case Tensor(l, r):
-            return f"{wrap(l, 'l', 'tensor')}*{wrap(r, 'r', 'tensor')}"
-        case Over(res, arg):
-            return f"{wrap(res, 'l', 'over')}/{wrap(arg, 'r', 'over')}"
-        case Under(arg, res):
-            return f"{wrap(arg, 'l', 'under')}\\{wrap(res, 'r', 'under')}"
-        case Dia(mode, body):
-            return f"<{mode.value}>{wrap(body, 'l', 'modal')}"
-        case Box(mode, body):
-            return f"[{mode.value}]{wrap(body, 'l', 'modal')}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Minimal-parenthesis rendering; ``parse_formula`` round-trips it.
+    The pieces are written from a stack, not by recursion, so a formula
+    built in code prints whatever its depth."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+            continue
+        if t is Atom:
+            out.append(g.name)
+            continue
+        # (child, side) pairs and the connective between them
+        if t is Tensor:
+            parent, pieces = "tensor", ((g.left, "l"), "*", (g.right, "r"))
+        elif t is Over:
+            parent, pieces = "over", ((g.result, "l"), "/", (g.arg, "r"))
+        elif t is Under:
+            parent, pieces = "under", ((g.arg, "l"), "\\", (g.result, "r"))
+        elif t is Dia:
+            parent, pieces = "modal", (f"<{g.mode.value}>", (g.body, "l"))
+        elif t is Box:
+            parent, pieces = "modal", (f"[{g.mode.value}]", (g.body, "l"))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        for piece in reversed(pieces):
+            if type(piece) is str:
+                stack.append(piece)
+            elif _needs_parens(piece[0], piece[1], parent):
+                stack += (")", piece[0], "(")
+            else:
+                stack.append(piece[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

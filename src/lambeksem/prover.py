@@ -14,8 +14,11 @@ down to a term in the base system.
 The search normalizes a goal by stripping slashes and boxes off the succedent
 (all invertible), then branches over: axiom closure, direct monotonicity,
 slash application at any covariant position, unlocking of a diamond-box pair,
-and the structural moves.  Search is depth-first over a step budget with
-memoized failures, so results are deterministic.
+and the structural moves.  An extraction hypothesis ``<x>[x]a`` over an atom
+is unlocked only where it is used, as the whole antecedent of its goal
+(:func:`_unlocks_at`); any other pair is unlocked at any covariant position.
+Search is depth-first over a step budget with memoized failures, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -306,7 +309,10 @@ class SearchConfig:
     residuation bookkeeping are free.  Chains of consecutive structural
     moves on one goal line are capped at twice the antecedent tree depth
     of the goal at hand, which bounds the churn any single diamond
-    hypothesis can cause.  ``count_pruning`` compares atom and modal
+    hypothesis can cause.  An extraction hypothesis ``<x>[x]a`` over an
+    atom is unlocked only as the whole antecedent (:func:`_unlocks_at`),
+    so ``find_all`` does not list proofs that differ only in where it is
+    unlocked.  ``count_pruning`` compares atom and modal
     counts once per top-level goal and once per branch, before the branch
     is built; it also turns on the chart of :func:`derive_sentence`, which
     checks the goal as it checks any argument and keeps from the prover
@@ -404,6 +410,18 @@ def _covariant_positions(f: Formula) -> list[tuple[Path, Formula]]:
         elif type(g) is Box:
             stack.append((path + ("B",), g.body))
     return out
+
+
+def _unlocks_at(path: Path, sub: Dia) -> bool:
+    """Whether the search unlocks the diamond-box pair ``sub`` at ``path``
+    in the antecedent.  An extraction hypothesis ``<x>[x]a`` over an atom
+    is unlocked only as the whole antecedent: the bare ``a`` it leaves
+    can no longer move (alpha and sigma move only ``<x>`` formulas) and
+    is used only as an argument or matched by monotonicity, and either
+    way the search meets ``<x>[x]a -> a`` at its root.  An island pair,
+    or a hypothesis over a non-atomic formula, which acts as a functor
+    once unlocked, is unlocked anywhere."""
+    return not path or sub.mode is not Mode.X or type(sub.body.body) is not Atom
 
 
 class Prover:
@@ -594,7 +612,12 @@ class Prover:
                     )
         # unlock a diamond-box pair
         for path, sub in positions:
-            if type(sub) is Dia and type(sub.body) is Box and sub.body.mode is sub.mode:
+            if (
+                type(sub) is Dia
+                and type(sub.body) is Box
+                and sub.body.mode is sub.mode
+                and _unlocks_at(path, sub)
+            ):
                 inner_f = sub.body.body
                 rewritten = replace_at(lhs, path, inner_f)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from lambeksem import prover
 from lambeksem.diagram import Builder, Diagram
 from lambeksem.formula import Atom, Box, Dia, Formula, Mode, Over, Tensor, Under
 from lambeksem.prover import (
@@ -23,7 +25,7 @@ from lambeksem.prover import (
     _wrap_count,
     format_bracketing,
 )
-from lambeksem.translate import _proof_links
+from lambeksem.translate import _proof_links, extract_axiom_links
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
 
@@ -146,6 +148,26 @@ def cold_search_cache():
     done."""
     _derive.cache_clear()
     _proof_links.cache_clear()
+
+
+@contextlib.contextmanager
+def every_unlock(monkeypatch):
+    """Within it, the prover unlocks any diamond-box pair at any position,
+    the permissive reference for ``prover._unlocks_at``.  The sentence
+    searches kept on entry and on exit are dropped, so no search made
+    under one rule is read under the other."""
+    _derive.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(prover, "_unlocks_at", lambda path, sub: True)
+            yield
+    finally:
+        _derive.cache_clear()
+
+
+def readings(result) -> set:
+    """The distinct (types, axiom linking) pairs of a search's parses."""
+    return {(p.types, extract_axiom_links(p.proof)) for p in result.parses}
 
 
 @pytest.fixture

@@ -308,10 +308,12 @@ def test_eval_check_closed_form(capsys):
 
 
 def test_eval_bad_dims_exits_2(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "eval", "Bob", "left", "the", "room", "--dims", "N=zero"
-    )
-    assert code == 2
+    # a size that is not a number, or no name, is refused as the other
+    # malformed items are
+    for dims in ("N=zero", "N=", "=2", "N"):
+        code, out, err = run(capsys, "eval", "Bob", "left", "the", "room", "--dims", dims)
+        assert code == 2 and not out, dims
+        assert err == f"error: cannot parse dimension {dims!r}, want NAME=SIZE\n", dims
     # a size below 1, or a space given twice, is a stated error, whether
     # it comes from --dims or from a store file
     store = tmp_path / "store.json"

@@ -14,10 +14,18 @@ replaced, kept here as the reference.  Every candidate the chart keeps
 from the prover is checked to be one the prover rejects, for the
 patterns' atomic goals and for non-atomic goals made by peeling a word
 off a pattern's sentence.
+
+The prover's unlock rule, which unlocks an extraction hypothesis over an
+atom only where it is used, is compared with the permissive rule that
+unlocks it anywhere, on the criterion-1 suite, the benchmark's generated
+items and random strings: the two must decide alike and find the same
+readings.
 """
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +47,9 @@ from lambeksem.prover import (
     validate,
 )
 from lambeksem.tensor import TensorError, TensorStore, eval_diagram, oracle_eval
-from lambeksem.translate import compile_sentence, proof_meaning
-from conftest import sentence_candidates
+from lambeksem.translate import compile_sentence, extract_axiom_links, proof_meaning
+from conftest import every_unlock, readings, sentence_candidates
+from test_acceptance import CRITERION_1_SUITE
 
 # Word classes whose members carry identical type sets (and meaning
 # networks) in the bundled lexicon, so a substitution keeps the verdict.
@@ -336,3 +345,81 @@ def test_island_wraps_match_reference():
         parse_bracketing("(w0 (w1 w2))", words), {0, 1, 2},
         lambda t: reference_antecedent(t, types), 2)]
     assert got[:3] == ["i:(w0 i:(w1 w2))", "i:(w0 (i:w1 w2))", "i:(w0 (w1 i:w2))"]
+
+
+# -- the unlock rule against the permissive one
+
+
+def benchmark_corpus():
+    """``perfbench/corpus.py``, the benchmark's inputs, which imports
+    nothing of the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def decision(result, words):
+    """What a search decides: verdict, ``bounded``, diagnostics, and the
+    first parse's bracketing, types and axiom linking."""
+    first = result.parses[0] if result.parses else None
+    return (result.ok, result.bounded, result.diagnostics, first and (
+        format_bracketing(first.bracketing, words), first.types,
+        extract_axiom_links(first.proof)))
+
+
+# Proof-level find_all runs to this many proofs.  The permissive rule
+# reaches it in seconds on the suite sentences below, so their readings
+# are not compared.
+READINGS_CAP = 1200
+READINGS_CAPPED = {
+    "security_breach that a report about in the NYT made public",
+    "this is a candidate whom I would persuade every friend of to_vote for",
+    "which papers did Bob accept despite not liking",
+    "which papers did Bob accept despite not liking really",
+    "I know which papers Bob will reject before even reading cursorily",
+    "this paper is easy to_explain well after studying thoroughly",
+}
+
+
+def test_unlock_rule_keeps_every_verdict_and_reading(monkeypatch):
+    # An unlock resets the structural-chain counter, and the permissive
+    # rule can unlock between two chains of moves where the rule cannot.
+    # Equal verdicts and reading sets show that no proof is lost to the
+    # chain cap on these inputs.
+    lex = builtin_lexicon()
+    vocab = sorted({e.word for e in lex.entries})
+    items = [(text.split(), goal, br) for text, goal, br, _ in CRITERION_1_SUITE]
+    corpus = benchmark_corpus()
+    items += [(item["words"], item["goal"], None)
+              for seed in (1, 2, 3) for item in corpus.generated_items(seed)]
+    items += [(words, goal, None)
+              for words, goal, _ in draw_sentences(random.Random(2023), vocab, ())]
+    every = SearchConfig(find_all=True, max_proofs=READINGS_CAP)
+    by_readings = [(text.split(), goal, br) for text, goal, br, _ in CRITERION_1_SUITE
+                   if text not in READINGS_CAPPED]
+
+    def run():
+        decided = [decision(derive_sentence(lex, words, parse_formula(goal), br), words)
+                   for words, goal, br in items]
+        found = [derive_sentence(lex, words, parse_formula(goal), br, config=every)
+                 for words, goal, br in by_readings]
+        return decided, found
+
+    decided, found = run()
+    with every_unlock(monkeypatch):
+        want_decided, want_found = run()
+    assert sum(d[0] for d in decided) >= 60
+    for item, got, want in zip(items, decided, want_decided, strict=True):
+        assert got == want, item
+    for item, got, want in zip(by_readings, found, want_found, strict=True):
+        assert not got.bounded and not want.bounded, item
+        assert len(got.parses) <= len(want.parses) < READINGS_CAP, item
+        assert readings(got) == readings(want), item
+    # the paper's example has its two readings, and the spurious proofs
+    # of both fall away
+    paper = by_readings.index(("papers that Bob rejected without reading carefully".split(),
+                               "n", None))
+    assert len(readings(found[paper])) == 2
+    assert (len(found[paper].parses), len(want_found[paper].parses)) == (75, 1108)

@@ -77,6 +77,21 @@ def test_print_is_minimal_and_reparses():
     assert parse_formula("<x>np*s") == Tensor(Dia(Mode.X, Atom("np")), Atom("s"))
 
 
+def test_print_takes_any_depth():
+    # formulas as deep as the parser allows round-trip
+    for text in ("<x>" * (MAX_DEPTH - 1) + "np", "/".join(["np"] * MAX_DEPTH),
+                 "(" * (MAX_DEPTH - 2) + "np" + "\\np)" * (MAX_DEPTH - 2) + "\\np"):
+        f = parse_formula(text)
+        assert f.depth == MAX_DEPTH
+        assert parse_formula(print_formula(f)) == f
+    # far deeper ones built in code print without running out of stack
+    right = left = Atom("np")
+    for _ in range(2999):
+        right, left = Over(Atom("np"), right), Over(left, Atom("np"))
+    assert print_formula(right) == "/".join(["np"] * 3000)
+    assert print_formula(left) == "(" * 2998 + "np" + "/np)" * 2998 + "/np"
+
+
 def test_slash_chain_associativity():
     # / nests to the right, \ to the left
     assert parse_formula("a/b/c") == Over(Atom("a"), Over(Atom("b"), Atom("c")))
