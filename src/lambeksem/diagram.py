@@ -10,12 +10,25 @@ evaluation, not physics, since every space here is self-dual.
 
 Wire types carry a space name plus a dual flag.  The flag matters when
 gluing diagrams along a boundary; evaluation ignores it.
+
+The shape of a diagram is the diagram without its box names
+(``Diagram.shape``).  Compiling, normalizing and evaluating are
+structural: what they build depends on the shape alone, and a box name
+only says which tensor fills the box.  So each of the three keeps its
+structural work per shape, in a memo of ``SEARCH_CACHE_SIZE`` entries,
+and per call only puts the names back (:func:`named`) or fetches the
+named tensors.  Here :func:`normalize` keeps the normal form of each
+shape; ``lambeksem.diagram._normal_shape.cache_info()`` reads its hits
+and misses.  Errors are raised on every call and never kept.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+
+from .prover import SEARCH_CACHE_SIZE
 
 
 class DiagramError(ValueError):
@@ -102,6 +115,7 @@ class Diagram:
     nodes: tuple[Node, ...] = ()
     wires: tuple[tuple[Port, Port], ...] = ()
     _by_id: dict[int, Node] = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.nid)))
@@ -109,7 +123,26 @@ class Diagram:
         # the first of duplicate ids wins; validate refuses duplicates
         object.__setattr__(self, "_by_id", {n.nid: n for n in reversed(self.nodes)})
 
+    def __hash__(self) -> int:
+        # kept: a shape is a memo key, looked up on every request
+        h = self._hash
+        if h is None:
+            h = hash((self.inputs, self.outputs, self.nodes, self.wires))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     # -- queries
+
+    @functools.cached_property
+    def shape(self) -> "Diagram":
+        """This diagram with every box name blank."""
+        nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs) if n.name else n for n in self.nodes)
+        return Diagram(self.inputs, self.outputs, nodes, self.wires)
+
+    @functools.cached_property
+    def box_names(self) -> tuple[str, ...]:
+        """The box names in node order."""
+        return tuple(n.name for n in self.nodes if n.kind == "box")
 
     def node(self, nid: int) -> Node:
         n = self._by_id.get(nid)
@@ -270,6 +303,18 @@ class Builder:
         )
         d.validate()
         return d
+
+
+def named(shape: Diagram, names) -> Diagram:
+    """``shape`` with its boxes named ``names``, in node order."""
+    names = tuple(names)
+    it = iter(names)
+    nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs, next(it)) if n.kind == "box" else n
+                  for n in shape.nodes)
+    d = Diagram(shape.inputs, shape.outputs, nodes, shape.wires)
+    # what the shape and names would be recomputed to
+    d.__dict__.update(shape=shape, box_names=names)
+    return d
 
 
 # -- primitive diagrams
@@ -459,7 +504,16 @@ def normalize(d: Diagram) -> Diagram:
     classes are scalar loops: two per swap fed back into itself, an odd
     one as a self-looped 1-1 spider, so the normal form never has more
     nodes than its input.
+
+    The normal form of each shape is kept, and boxes keep their order,
+    so a call only names the kept form's boxes after ``d``'s.
     """
+    return named(_normal_shape(d.shape), d.box_names)
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _normal_shape(d: Diagram) -> Diagram:
+    """The normal form of a shape, as :func:`normalize` describes it."""
     port_class, spaces = index_classes(d)
     prods: list[list[Port]] = [[] for _ in spaces]
     cons: list[list[Port]] = [[] for _ in spaces]
@@ -472,7 +526,7 @@ def normalize(d: Diagram) -> Diagram:
         if n.kind != "box":
             continue
         nid = len(nodes)
-        nodes.append(Node(nid, "box", n.ins, n.outs, n.name))
+        nodes.append(Node(nid, "box", n.ins, n.outs))
         for k in range(len(n.ins)):
             cons[port_class[("i", n.nid, k)]].append(("i", nid, k))
         for k in range(len(n.outs)):

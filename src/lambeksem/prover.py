@@ -320,7 +320,9 @@ class SearchConfig:
     Disabling ``memoize`` or ``count_pruning`` is only useful for
     conservativity tests; ``count_pruning=False`` is the unpruned
     reference.  A config is frozen, as it is part of the key under which
-    :func:`derive_sentence` keeps a search's result.
+    :func:`derive_sentence` keeps a search's result.  With ``find_all``, a
+    sentence search returns at most ``max_proofs`` parses, and one that
+    stops there reports ``bounded``, as it may have left parses unfound.
     """
 
     max_proof_size: int = 40
@@ -1363,6 +1365,10 @@ def derive_sentence(
     results, which are frozen and shared by every caller that asks again.
     ``lambeksem.prover._derive.cache_info()`` reads its hits and misses.
     Input errors are raised on every call and never kept.
+
+    With ``config.find_all`` the result lists every parse, up to
+    ``config.max_proofs``; a search that reaches that many stops there and
+    reports ``bounded``, so a capped list is never passed off as complete.
     """
     if not words:
         raise ProverError("no words to parse")
@@ -1432,7 +1438,8 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
             if not config.find_all:
                 return SentenceResult(tuple(parses), bounded, "derivable")
         if config.find_all and len(parses) >= config.max_proofs:
-            return SentenceResult(tuple(parses), bounded, "derivable")
+            # a capped list may not be every parse
+            return SentenceResult(tuple(parses[:config.max_proofs]), True, "derivable")
     if parses:
         return SentenceResult(tuple(parses), bounded, "derivable")
     diag = "no bracketing succeeded"

@@ -15,6 +15,7 @@ diagram, a store seed, and a dimension table fully determine a value.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Diagram, DiagramError, index_classes
+from .prover import SEARCH_CACHE_SIZE
 
 
 class TensorError(ValueError):
@@ -166,27 +168,78 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
 
     The result covers the boundary, inputs first then outputs, with dual
     flags dropped (every space is modelled as self-dual).
+
+    Everything but the tensors depends on the shape of ``d`` alone, and
+    :func:`_eval_plan` keeps it per shape, the contraction order
+    included.  A call validates ``d``, fetches its box tensors and the
+    copy and ones operands at the store's dimensions, and makes one
+    ``np.einsum`` call along the kept path.
     """
     d.validate()
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
-    if not d.wires:
-        return TensorValue(out_spaces, np.array(1.0))
-    port_class, spaces = index_classes(d)
-    boundary_ports = [("I", k) for k in range(len(d.inputs))]
-    boundary_ports += [("O", k) for k in range(len(d.outputs))]
+    plan = _eval_plan(d.shape)
+    args: list = []
+    for name, (spaces, idx) in zip(d.box_names, plan.boxes):
+        args += (store.get(name, spaces), idx)
+    for space, idx in plan.copies:
+        args += (np.eye(store.dim(space)), idx)
+    for space, idx in plan.ones:
+        args += (np.ones(store.dim(space)), idx)
+    scalar = 1.0
+    for space in plan.loops:
+        scalar *= store.dim(space)
+    if not args:
+        return TensorValue(out_spaces, np.array(scalar))
+    value = np.einsum(*args, plan.out, optimize=plan.path) * scalar
+    return TensorValue(out_spaces, value)
+
+
+# The size every space takes when a plan chooses its contraction order.
+PATH_DIM = 2
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How a shape contracts: the (spaces, labels) of each box operand in
+    node order, the (space, labels) of each copy and each ones operand,
+    the spaces of the closed loops, the output labels, and the einsum
+    path over those operands."""
+
+    boxes: tuple
+    copies: tuple
+    ones: tuple
+    loops: tuple[str, ...]
+    out: list[int]
+    path: list | None
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _eval_plan(shape: Diagram) -> _Plan:
+    """The contraction plan of a shape.
+
+    Spiders, cups, caps and swaps collapse into shared-index classes.
+    A class the boundary visits twice gets an explicit copy operand,
+    since einsum cannot repeat an output label; an output class no box
+    touches gets a ones operand; a class touching nothing visible is a
+    closed loop, a scalar factor of its dimension.  The path is numpy's
+    greedy choice with every space at ``PATH_DIM``, so it is a function
+    of the shape alone, whatever the dimensions or the order of calls.
+    """
+    port_class, spaces = index_classes(shape)
+    boundary_ports = [("I", k) for k in range(len(shape.inputs))]
+    boundary_ports += [("O", k) for k in range(len(shape.outputs))]
     boundary_classes = [port_class[p] for p in boundary_ports]
 
-    operands: list[tuple[np.ndarray, list[int]]] = []
-    for n in d.nodes:
+    boxes: list[tuple[tuple[str, ...], list[int]]] = []
+    for n in shape.nodes:
         if n.kind != "box":
             continue
         idx = [port_class[("i", n.nid, k)] for k in range(len(n.ins))]
         idx += [port_class[("o", n.nid, k)] for k in range(len(n.outs))]
-        operands.append((store.get(n.name, n.ins + n.outs), idx))
+        boxes.append((n.ins + n.outs, idx))
 
-    covered = {c for _, idx in operands for c in idx}
-    # repeated boundary visits need explicit copy tensors, since einsum
-    # cannot repeat an output label
+    covered = {c for _, idx in boxes for c in idx}
+    copies: list[tuple[str, list[int]]] = []
     out_idx: list[int] = []
     seen_out: set[int] = set()
     next_free = len(spaces)
@@ -195,36 +248,36 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
             seen_out.add(c)
             out_idx.append(c)
             continue
-        eye = np.eye(store.dim(spaces[c]))
-        operands.append((eye, [c, next_free]))
+        copies.append((spaces[c], [c, next_free]))
         covered.add(c)
         covered.add(next_free)
         out_idx.append(next_free)
         next_free += 1
+    ones: list[tuple[str, list[int]]] = []
     for c in seen_out:
         if c not in covered:
-            operands.append((np.ones(store.dim(spaces[c])), [c]))
+            ones.append((spaces[c], [c]))
             covered.add(c)
+    loops = tuple(space for c, space in enumerate(spaces) if c not in covered)
 
-    # classes touching nothing visible are closed loops: scalar factors
-    scalar = 1.0
-    for c, space in enumerate(spaces):
-        if c not in covered:
-            scalar *= store.dim(space)
-
+    operands = boxes + copies + ones
     if not operands:
-        return TensorValue(out_spaces, np.array(scalar))
+        return _Plan((), (), (), loops, [], None)
     labels = sorted({c for _, idx in operands for c in idx})
     if len(labels) > 52:
         raise TensorError("diagram needs more than 52 einsum indices")
     dense = {c: i for i, c in enumerate(labels)}
-    args: list = []
-    for arr, idx in operands:
-        args.append(arr)
-        args.append([dense[c] for c in idx])
-    args.append([dense[c] for c in out_idx])
-    value = np.einsum(*args, optimize="greedy") * scalar
-    return TensorValue(out_spaces, value)
+
+    def relabel(ops):
+        return tuple((sp, [dense[c] for c in idx]) for sp, idx in ops)
+
+    boxes, copies, ones = relabel(boxes), relabel(copies), relabel(ones)
+    out = [dense[c] for c in out_idx]
+    sized: list = []
+    for _, idx in boxes + copies + ones:
+        sized += (np.empty((PATH_DIM,) * len(idx)), idx)
+    path, _ = np.einsum_path(*sized, out, optimize="greedy")
+    return _Plan(boxes, copies, ones, loops, out, path)
 
 
 # -- brute-force oracle

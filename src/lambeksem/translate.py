@@ -13,8 +13,13 @@ The same proofs also yield their axiom linkings, the pairing-off of
 atom occurrences that survives into the diagram as the pattern of cup
 arcs.  ``compile_sentence`` builds a sentence meaning that way: one
 Frobenius network per word, wired together along the linking.  The
-linking is a function of the proof alone, so the link diagram of each
-of the last ``SEARCH_CACHE_SIZE`` proofs is kept and shared.
+linking is a function of the proof alone, and the wiring a function of
+the proof and the shapes of the word networks (their diagrams without
+box names), whichever words fill them.  So the sentence shape of each of
+the last ``SEARCH_CACHE_SIZE`` (proof, network shapes) keys is kept, and
+a call only names its boxes after the words' boxes;
+``lambeksem.translate._compiled_shape.cache_info()`` reads the hits and
+misses.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .diagram import (
     cup,
     dual_type,
     identity,
+    named,
     permutation,
     tensor_par,
 )
@@ -476,11 +482,12 @@ def compile_sentence(parse, states) -> Diagram:
     ``states`` holds one Frobenius network per word, each a closed
     diagram whose outputs are the word's type wires.  The networks sit
     side by side and the proof's linking wires them together; goal wires
-    come out as the boundary.
+    come out as the boundary.  Placing and composing keep the nodes in
+    order, so the boxes are the words' boxes in sentence order, and the
+    rest is kept per proof and network shapes by :func:`_compiled_shape`.
     """
-    # the link diagram's inputs are the antecedent's wires, so compose
-    # checks that the networks line up with the parsed types
-    return compose(_side_by_side(states), _proof_links(parse.proof))
+    shape = _compiled_shape(parse.proof, tuple(s.shape for s in states))
+    return named(shape, [name for s in states for name in s.box_names])
 
 
 def _side_by_side(states) -> Diagram:
@@ -489,12 +496,15 @@ def _side_by_side(states) -> Diagram:
 
 
 # Proof terms hash and compare by their fields and diagrams are frozen,
-# so a kept diagram is the one a cold call would build.  The bound is the
-# search cache's: the first proof of every kept search keeps its linking.
+# so a kept shape is the one a cold call would build.  The bound is the
+# search cache's: the first proof of every kept search keeps its shape.
 @functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
-def _proof_links(proof: ProofTerm) -> Diagram:
-    """The link diagram of a proof's axiom linking."""
-    return link_diagram(extract_axiom_links(proof))
+def _compiled_shape(proof: ProofTerm, shapes: tuple[Diagram, ...]) -> Diagram:
+    """The sentence shape: the network shapes side by side, composed
+    with the link diagram of the proof's axiom linking."""
+    # the link diagram's inputs are the antecedent's wires, so compose
+    # checks that the networks line up with the parsed types
+    return compose(_side_by_side(shapes), link_diagram(extract_axiom_links(proof)))
 
 
 def proof_meaning(parse, states) -> Diagram:

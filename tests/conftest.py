@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lambeksem import prover
-from lambeksem.diagram import Builder, Diagram
-from lambeksem.formula import Atom, Box, Dia, Formula, Mode, Over, Tensor, Under
+from lambeksem.diagram import Builder, Diagram, _normal_shape
+from lambeksem.formula import (
+    Atom,
+    Box,
+    Dia,
+    Formula,
+    Mode,
+    Over,
+    Tensor,
+    Under,
+    parse_formula,
+)
 from lambeksem.prover import (
     SearchConfig,
     _antecedent,
@@ -23,9 +35,11 @@ from lambeksem.prover import (
     _island_wraps,
     _locked,
     _wrap_count,
+    derive_sentence,
     format_bracketing,
 )
-from lambeksem.translate import _proof_links, extract_axiom_links
+from lambeksem.tensor import _eval_plan
+from lambeksem.translate import _compiled_shape, extract_axiom_links
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
 
@@ -143,11 +157,13 @@ def composable_proof_pairs(rng: random.Random, count: int):
 
 @pytest.fixture(autouse=True)
 def cold_search_cache():
-    """Each test starts with no sentence search and no link diagram
-    kept, so a test that counts what a search or a compile does sees it
-    done."""
+    """Each test starts with no sentence search and no compiled,
+    normalized or evaluation plan shape kept, so a test that counts what
+    a search, a compile, a normalize or an evaluation does sees it done."""
     _derive.cache_clear()
-    _proof_links.cache_clear()
+    _compiled_shape.cache_clear()
+    _normal_shape.cache_clear()
+    _eval_plan.cache_clear()
 
 
 @contextlib.contextmanager
@@ -168,6 +184,27 @@ def every_unlock(monkeypatch):
 def readings(result) -> set:
     """The distinct (types, axiom linking) pairs of a search's parses."""
     return {(p.types, extract_axiom_links(p.proof)) for p in result.parses}
+
+
+def benchmark_corpus():
+    """``perfbench/corpus.py``, the benchmark's inputs, which imports
+    nothing of the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def meaning_requests(lex, seed: int):
+    """The benchmark's ``meanings`` items for ``seed``, each as (item,
+    first parse, word networks), searched as the benchmark searches."""
+    config = SearchConfig(max_proof_size=40)
+    for item in benchmark_corpus().meaning_items(seed):
+        result = derive_sentence(lex, item["words"], parse_formula(item["goal"]),
+                                 bracketing=item["bracketing"], config=config)
+        parse = result.parses[0]
+        yield item, parse, lex.states(item["words"], parse.types)
 
 
 @pytest.fixture

@@ -22,10 +22,8 @@ items and random strings: the two must decide alike and find the same
 readings.
 """
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +46,7 @@ from lambeksem.prover import (
 )
 from lambeksem.tensor import TensorError, TensorStore, eval_diagram, oracle_eval
 from lambeksem.translate import compile_sentence, extract_axiom_links, proof_meaning
-from conftest import every_unlock, readings, sentence_candidates
+from conftest import benchmark_corpus, every_unlock, readings, sentence_candidates
 from test_acceptance import CRITERION_1_SUITE
 
 # Word classes whose members carry identical type sets (and meaning
@@ -348,16 +346,6 @@ def test_island_wraps_match_reference():
 
 
 # -- the unlock rule against the permissive one
-
-
-def benchmark_corpus():
-    """``perfbench/corpus.py``, the benchmark's inputs, which imports
-    nothing of the program."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def decision(result, words):

@@ -427,6 +427,17 @@ def test_counts_fix_the_wrap_count_per_assignment(monkeypatch):
     assert "deepest failed subgoal: np*((np\\s)/np*<i>(" in got.diagnostics
 
 
+def test_find_all_stops_at_max_proofs():
+    # 60 proofs in all; a search that stops at the cap says it may have
+    # left some unfound
+    lex = builtin_lexicon()
+    words = "I know which papers Bob will reject immediately".split()
+    for cap, count, bounded in ((2, 2, True), (40, 40, True), (1000, 60, False)):
+        r = derive_sentence(lex, words, parse_formula("s"),
+                            config=SearchConfig(find_all=True, max_proofs=cap))
+        assert (len(r.parses), r.bounded) == (count, bounded), cap
+
+
 def test_bounded_flag_on_tight_budget():
     g = arrow("a/b", "(a/<x>[x]c)/(b/<x>[x]c)")
     r = prove(g, SearchConfig(max_proof_size=2))

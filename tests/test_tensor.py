@@ -11,12 +11,14 @@ from lambeksem.diagram import (
     compose,
     cup,
     frobenius_network,
+    identity,
     spider,
     tensor_par,
 )
 from lambeksem.tensor import (
     TensorError,
     TensorStore,
+    _eval_plan,
     closed_form_1d,
     eval_diagram,
     oracle_eval,
@@ -165,8 +167,30 @@ def test_index_budget_is_reported():
     d = box("b0", (), (N,) * 2)
     for i in range(30):
         d = tensor_par(d, box(f"b{i + 1}", (), (N,) * 2))
-    with pytest.raises(TensorError, match="52"):
-        eval_diagram(d, st)
+    # on every call: errors are never kept
+    for _ in range(2):
+        with pytest.raises(TensorError, match="52"):
+            eval_diagram(d, st)
+    assert _eval_plan.cache_info().currsize == 0
+
+
+def test_scalar_boxes_match_the_oracle():
+    st = TensorStore({"N": 2, "S": 2}, seed=3)
+    c, e = box("c", (), ()), box("e", (), ())
+    for d in (c, tensor_par(c, e), identity(())):
+        np.testing.assert_array_equal(eval_diagram(d, st).array, oracle_eval(d, st).array)
+    assert eval_diagram(tensor_par(c, e), st).array == pytest.approx(0.159, abs=5e-4)
+    assert eval_diagram(identity(()), st).array == 1.0
+
+
+def test_a_missing_tensor_is_an_error_on_every_call():
+    st = TensorStore({"N": 2}, generate=False)
+    d = box("absent", (), (N,))
+    for _ in range(2):
+        with pytest.raises(TensorError, match="not in the store"):
+            eval_diagram(d, st)
+    st.set("absent", ("N",), np.array([2.0, 3.0]))
+    np.testing.assert_array_equal(eval_diagram(d, st).array, [2.0, 3.0])
 
 
 def test_network_evaluation_shapes():

@@ -1,6 +1,8 @@
 """Syntax-to-diagram translation: types, proofs, whole sentences."""
 
+import functools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from lambeksem.prover import (
 )
 from lambeksem.tensor import TensorStore, eval_diagram
 from lambeksem.translate import (
-    _proof_links,
+    _compiled_shape,
     compile_sentence,
     extract_axiom_links,
     interpret_proof,
@@ -234,28 +236,35 @@ def test_link_diagram_is_kept_per_proof():
     parse = derive_sentence(lex, words, goal).parses[0]
     states = lex.states(words, parse.types)
     compiled = compile_sentence(parse, states)
-    cold = link_diagram(extract_axiom_links(parse.proof))
-    assert _proof_links(parse.proof).to_json() == cold.to_json()
-    _proof_links.cache_clear()
+    # the definition: the networks side by side, composed with the link
+    # diagram of the proof
+    cold = compose(functools.reduce(tensor_par, states),
+                   link_diagram(extract_axiom_links(parse.proof)))
+    assert compiled.to_json() == cold.to_json()
+    _compiled_shape.cache_clear()
     assert compile_sentence(parse, states).to_json() == compiled.to_json()
-    # the same types with other words: the same proof, so its linking is
-    # read from the cache
+    # the same types with other words: the same proof and network shapes,
+    # so the sentence shape is read from the cache and only the box names
+    # are the other words'
     other = ["report", "that", "I", "accept", "without", "liking"]
-    hits = _proof_links.cache_info().hits
+    hits = _compiled_shape.cache_info().hits
     parse2 = derive_sentence(lex, other, goal).parses[0]
     states2 = lex.states(other, parse2.types)
     via_links = compile_sentence(parse2, states2)
-    assert _proof_links.cache_info().hits == hits + 1
+    assert _compiled_shape.cache_info().hits == hits + 1
+    assert via_links.shape == compiled.shape
+    assert via_links.box_names == ("report", "I", "accept", "liking")
     # a term read back from JSON is equal, not the same object: it too
     # is read from the cache
-    assert _proof_links(proof_from_json(proof_to_json(parse2.proof))) is _proof_links(parse2.proof)
-    assert _proof_links.cache_info().hits == hits + 3
+    reread = replace(parse2, proof=proof_from_json(proof_to_json(parse2.proof)))
+    assert compile_sentence(reread, states2).to_json() == via_links.to_json()
+    assert _compiled_shape.cache_info().hits == hits + 2
     dims = {"N": 3, "S": 2}
     v1 = eval_diagram(normalize(via_links), TensorStore(dims, seed=5))
     v2 = eval_diagram(normalize(proof_meaning(parse2, states2)),
                       TensorStore(dims, seed=5))
     np.testing.assert_allclose(v1.array, v2.array, rtol=1e-9, atol=1e-12)
-    assert _proof_links.cache_info().maxsize == SEARCH_CACHE_SIZE
+    assert _compiled_shape.cache_info().maxsize == SEARCH_CACHE_SIZE
 
 
 def test_gap_normal_form_has_one_copying_spider():
