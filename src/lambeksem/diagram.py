@@ -53,15 +53,6 @@ def concrete_spaces(wtype: WireType) -> tuple[str, ...]:
 Port = tuple
 
 
-def _port_ok(port: Port) -> bool:
-    match port:
-        case ("I" | "O", int()):
-            return True
-        case ("i" | "o", int(), int()):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class Node:
     """One generator.  ``ins``/``outs`` list the port spaces in order.

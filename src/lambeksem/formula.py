@@ -518,9 +518,3 @@ def count_vector(f: Formula) -> dict[str, int]:
             counts = _merge(count_vector(body), {f"<{mode.value}>": 1}, -1)
     f._counts = counts
     return counts
-
-
-def atom_count(f: Formula, atom: str, outer: Polarity = Polarity.POS) -> int:
-    """Signed count of ``atom`` in ``f`` seen at the stated outer polarity."""
-    n = count_vector(f).get(atom, 0)
-    return n if outer is Polarity.POS else -n

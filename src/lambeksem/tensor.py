@@ -67,6 +67,8 @@ class TensorStore:
             if size < 1:
                 raise TensorError(f"space {space!r} needs a dimension of 1 or more, not {size}")
         self.seed = int(seed)
+        if self.seed < 0:
+            raise TensorError(f"tensor store seed must be 0 or more, not {self.seed}")
         self.generate = bool(generate)
         self.tensors: dict[str, TensorValue] = {}
         for name, t in (tensors or {}).items():

@@ -11,8 +11,15 @@ controlled commutation is a block permutation.
 
 The same proofs also yield their axiom linkings, the pairing-off of
 atom occurrences that survives into the diagram as the pattern of cup
-arcs.  ``compile_sentence`` builds a sentence meaning that way: one
-Frobenius network per word, wired together along the linking.  The
+arcs.  Atom occurrences are numbered one way, from the proof rule to the
+link diagram: the source's atoms in preorder (printed order), then the
+target's.  A linking is a list ``mate`` in which occurrence k is linked
+to occurrence ``mate[k]``; each axiom links a few in-order runs of
+occurrences.  Each wire of a type carries its occurrence and its place
+in that atom's layout, from the same walk ``interpret_type`` reads, and
+the link diagram joins the wires of linked occurrences place by place.
+``compile_sentence`` builds a sentence meaning that way: one Frobenius
+network per word, wired together along the linking.  The
 linking is a function of the proof alone, and the wiring a function of
 the proof and the shapes of the word networks (their diagrams without
 box names), whichever words fill them.  So the sentence shape of each of
@@ -49,7 +56,6 @@ from .formula import (
     Formula,
     FormulaError,
     Over,
-    Polarity,
     Tensor,
     Under,
     iter_atoms,
@@ -70,82 +76,42 @@ ATOM_SPACES: dict[str, WireType] = {
 }
 
 
-def interpret_type(f: Formula) -> WireType:
-    """Wire list of a type.  Modalities leave no trace."""
+# A wire of a type: (space, dual, atom, part), where ``atom`` numbers the
+# atom occurrence it belongs to and ``part`` is its place in that atom's
+# ``ATOM_SPACES`` layout.  Dualizing reverses the wires, so an atom's
+# parts run backwards under an odd number of slash arguments.
+Wire = tuple[str, bool, int, int]
+
+
+def _wires(f: Formula, first: int = 0) -> tuple[Wire, ...]:
+    """The wires of a type in order, its atom occurrences numbered in
+    preorder from ``first``."""
     match f:
         case Atom(name):
             try:
-                return ATOM_SPACES[name]
+                spaces = ATOM_SPACES[name]
             except KeyError:
                 raise FormulaError(f"no semantic space registered for atom {name!r}") from None
+            return tuple((sp, dl, first, part) for part, (sp, dl) in enumerate(spaces))
         case Tensor(left, right):
-            return interpret_type(left) + interpret_type(right)
+            return _wires(left, first) + _wires(right, first + left.n_atoms)
         case Over(result, arg):
-            return interpret_type(result) + dual_type(interpret_type(arg))
+            return _wires(result, first) + _dual(_wires(arg, first + result.n_atoms))
         case Under(arg, result):
-            return dual_type(interpret_type(arg)) + interpret_type(result)
+            return _dual(_wires(arg, first)) + _wires(result, first + arg.n_atoms)
         case Dia(_, body) | Box(_, body):
-            return interpret_type(body)
+            return _wires(body, first)
     raise FormulaError(f"cannot interpret {f!r}")
 
 
-@dataclass(frozen=True)
-class AtomBlock:
-    """Where one atom occurrence sits in the wire list of its formula."""
-
-    name: str
-    polarity: Polarity
-    start: int
-    size: int
-    flipped: bool
+def _dual(wires: tuple[Wire, ...]) -> tuple[Wire, ...]:
+    """As :func:`dual_type`, keeping each wire's atom and part."""
+    return tuple((sp, not dl, atom, part) for sp, dl, atom, part in reversed(wires))
 
 
-def atom_wire_blocks(f: Formula) -> tuple[AtomBlock, ...]:
-    """Atom occurrences in preorder, each with its wire span.
-
-    Dualized positions reverse the block layout, so preorder atom order
-    does not mean left-to-right wire order.
-    """
-    blocks, total = _blocks(f)
-    if total != len(interpret_type(f)):
-        raise FormulaError("internal error: wire accounting drifted")
-    return tuple(blocks)
-
-
-def _blocks(f: Formula):
-    match f:
-        case Atom(name):
-            size = len(ATOM_SPACES.get(name, ())) or len(interpret_type(f))
-            return [AtomBlock(name, Polarity.POS, 0, size, False)], size
-        case Tensor(left, right):
-            lb, lt = _blocks(left)
-            rb, rt = _blocks(right)
-            rb = [_shift_block(b, lt) for b in rb]
-            return lb + rb, lt + rt
-        case Over(result, arg):
-            bb, bt = _blocks(result)
-            ab, at = _blocks(arg)
-            ab = [_shift_block(_dual_block(b, at), bt) for b in ab]
-            return bb + ab, bt + at
-        case Under(arg, result):
-            ab, at = _blocks(arg)
-            bb, bt = _blocks(result)
-            ab = [_dual_block(b, at) for b in ab]
-            bb = [_shift_block(b, at) for b in bb]
-            return ab + bb, at + bt
-        case Dia(_, body) | Box(_, body):
-            return _blocks(body)
-    raise FormulaError(f"cannot lay out {f!r}")
-
-
-def _shift_block(b: AtomBlock, by: int) -> AtomBlock:
-    return AtomBlock(b.name, b.polarity, b.start + by, b.size, b.flipped)
-
-
-def _dual_block(b: AtomBlock, total: int) -> AtomBlock:
-    return AtomBlock(
-        b.name, b.polarity.flip(), total - b.start - b.size, b.size, not b.flipped
-    )
+def interpret_type(f: Formula) -> WireType:
+    """Wire list of a type.  Modalities leave no trace."""
+    return tuple((sp, dl) for sp, dl, _, _ in _wires(f))
 
 
 # -- proofs to diagrams
@@ -234,141 +200,87 @@ def interpret_proof(term: ProofTerm) -> Diagram:
 # -- axiom linkings
 
 
-def _parallel(n: int, side: str, at: int, side2: str, at2: int) -> frozenset:
-    """The n in-order links from the run of atoms at ``at`` on ``side``
-    to the run at ``at2`` on ``side2``."""
-    return frozenset(frozenset(((side, at + i), (side2, at2 + i))) for i in range(n))
+def _axiom(n: int, *runs: tuple[int, int, int]) -> list[int]:
+    """The linking of an axiom with ``n`` atom occurrences, from runs
+    ``(length, i, j)`` of in-order links: ``i + t`` meets ``j + t``."""
+    # an occurrence no run covers stays its own mate, which
+    # extract_axiom_links refuses
+    mate = list(range(n))
+    for length, i, j in runs:
+        mate[i:i + length] = range(j, j + length)
+        mate[j:j + length] = range(i, i + length)
+    return mate
 
 
-def _remap(links, fn) -> frozenset:
-    return frozenset(frozenset(fn(tok) for tok in pair) for pair in links)
-
-
-def _term_links(term: ProofTerm) -> frozenset:
+def _mate(term: ProofTerm) -> list[int]:
+    """The axiom linking of a proof: occurrence k is linked to mate[k]."""
+    ns = term.source.n_atoms
+    n = ns + term.target.n_atoms
     match term.rule:
         case "id" | "ev_box" | "coev_box" | "alpha":
-            return _parallel(term.source.n_atoms, "s", 0, "t", 0)
+            return _axiom(n, (ns, 0, ns))
         case "mon_dia" | "mon_box":
-            return _term_links(term.children[0])
+            return _mate(term.children[0])
         case "compose":
             g, f = term.children
-            return _glue(_term_links(f), _term_links(g))
-        case "mon_tensor":
-            f, g = term.children
-            ds, dt = f.source.n_atoms, f.target.n_atoms
-
-            def shift(tok):
-                side, i = tok
-                return (side, i + (ds if side == "s" else dt))
-
-            return _term_links(f) | _remap(_term_links(g), shift)
-        case "mon_over":
-            # f: A->B, g: C->D  gives  A/D -> B/C
+            return _compose(_mate(f), _mate(g), ns, f.target.n_atoms)
+        case "mon_tensor" | "mon_over" | "mon_under":
             f, g = term.children
             na, nb = f.source.n_atoms, f.target.n_atoms
-
-            def turn(tok):
-                side, i = tok
-                # g's source C sits in the composite target, its target D
-                # in the composite source
-                if side == "s":
-                    return ("t", nb + i)
-                return ("s", na + i)
-
-            return _term_links(f) | _remap(_term_links(g), turn)
-        case "mon_under":
-            # f: A->B, g: C->D  gives  B\C -> A\D
-            f, g = term.children
-            na, nb = f.source.n_atoms, f.target.n_atoms
-
-            def turn(tok):
-                side, i = tok
-                if side == "s":
-                    return ("t", i)
-                return ("s", i)
-
-            def shift(tok):
-                side, i = tok
-                return (side, i + (nb if side == "s" else na))
-
-            return _remap(_term_links(f), turn) | _remap(_term_links(g), shift)
+            # where the source and the target atoms of f: A -> B and of
+            # g: C -> D start in the conclusion
+            f_at, g_at = {
+                "mon_tensor": ((0, ns), (na, ns + nb)),  # A*C -> B*D
+                "mon_over": ((0, ns), (ns + nb, na)),  # A/D -> B/C
+                "mon_under": ((ns, 0), (nb, ns + na)),  # B\C -> A\D
+            }[term.rule]
+            mate = [0] * n
+            for premise, (s_at, t_at) in ((f, f_at), (g, g_at)):
+                k_s, k_t = premise.source.n_atoms, premise.target.n_atoms
+                place = [*range(s_at, s_at + k_s), *range(t_at, t_at + k_t)]
+                for k, m in enumerate(_mate(premise)):
+                    mate[place[k]] = place[m]
+            return mate
         case "ev_over":
             # (B/A) * A -> B
             na, nb = (p.n_atoms for p in term.params)
-            return _parallel(nb, "s", 0, "t", 0) | _parallel(na, "s", nb, "s", nb + na)
+            return _axiom(n, (nb, 0, ns), (na, nb, nb + na))
         case "ev_under":
             # A * (A\B) -> B
             na, nb = (p.n_atoms for p in term.params)
-            return _parallel(na, "s", 0, "s", na) | _parallel(nb, "s", 2 * na, "t", 0)
+            return _axiom(n, (na, 0, na), (nb, 2 * na, ns))
         case "coev_over":
             # B -> (B*A)/A
             na, nb = (p.n_atoms for p in term.params)
-            return _parallel(nb, "s", 0, "t", 0) | _parallel(na, "t", nb, "t", nb + na)
+            return _axiom(n, (nb, 0, ns), (na, ns + nb, ns + nb + na))
         case "coev_under":
             # B -> A\(A*B)
             na, nb = (p.n_atoms for p in term.params)
-            return _parallel(na, "t", 0, "t", na) | _parallel(nb, "s", 0, "t", 2 * na)
+            return _axiom(n, (na, ns, ns + na), (nb, 0, ns + 2 * na))
         case "sigma":
             # (A*B) * <x>C -> (A*<x>C) * B
             na, nb, nc = (p.n_atoms for p in term.params)
-            return (_parallel(na, "s", 0, "t", 0)
-                    | _parallel(nb, "s", na, "t", na + nc)
-                    | _parallel(nc, "s", na + nb, "t", na))
+            return _axiom(n, (na, 0, ns), (nb, na, ns + na + nc), (nc, na + nb, ns + na))
     raise DiagramError(f"cannot link proof rule {term.rule!r}")
 
 
-def _glue(lf: frozenset, lg: frozenset) -> frozenset:
-    """Compose two linkings along the shared middle formula.
-
-    Middle occurrences pair up twice, once per side; following the
-    alternating paths joins the outer occurrences.  Paths closing on
-    themselves vanish, which is what should happen to material consumed
-    entirely inside the composition.
-    """
-    adj: dict = {}
-
-    def add_edge(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for pair in lf:
-        u, v = tuple(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
-        add_edge(_lift_f(u), _lift_f(v))
-    for pair in lg:
-        u, v = tuple(pair) if len(pair) == 2 else (next(iter(pair)),) * 2
-        add_edge(_lift_g(u), _lift_g(v))
-
-    out = set()
-    visited = set()
-    for node in adj:
-        if node[0] == "m" or node in visited:
-            continue
-        visited.add(node)
-        prev, cur = node, adj[node][0]
-        while cur[0] == "m":
-            visited.add(cur)
-            step = [x for x in adj[cur] if x != prev]
-            # a middle occurrence has exactly two incident edges; when
-            # both lead back the path doubles on itself
-            nxt = step[0] if step else prev
-            prev, cur = cur, nxt
-        visited.add(cur)
-        out.add(frozenset((node[1], cur[1])))
-    return frozenset(out)
-
-
-def _lift_f(tok):
-    side, i = tok
-    if side == "t":
-        return ("m", i)
-    return ("a", ("s", i))
-
-
-def _lift_g(tok):
-    side, i = tok
-    if side == "s":
-        return ("m", i)
-    return ("a", ("t", i))
+def _compose(mf: list[int], mg: list[int], na: int, nm: int) -> list[int]:
+    """The linking of g after f, for f: A -> M and g: M -> C with ``na``
+    and ``nm`` atoms in A and M.  Each outer occurrence follows the
+    alternating links of f and g through M until it leaves it; links
+    closing on themselves inside M vanish, as material consumed entirely
+    inside the composition should."""
+    mate = []
+    for k in range(len(mf) + len(mg) - 2 * nm):
+        # j numbers an occurrence in f's arrow when in_f, else in g's,
+        # where f's target atoms from na on are g's source atoms from 0
+        in_f = k < na
+        j = mf[k] if in_f else mg[k - na + nm]
+        while (j >= na) if in_f else (j < nm):
+            j = mg[j - na] if in_f else mf[j + na]
+            in_f = not in_f
+        mate.append(j if in_f else j - nm + na)
+    return mate
 
 
 @dataclass(frozen=True)
@@ -412,23 +324,11 @@ class AxiomLinking:
 
 
 def extract_axiom_links(term: ProofTerm) -> AxiomLinking:
-    ns = term.source.n_atoms
-    raw = _term_links(term)
-    pairs = []
-    seen: set[int] = set()
-    for pair in raw:
-        toks = tuple(pair)
-        if len(toks) == 1:
-            raise DiagramError("degenerate axiom link")
-        idx = []
-        for side, i in toks:
-            idx.append(i if side == "s" else ns + i)
-        a, b = sorted(idx)
-        pairs.append((a, b))
-        seen.update((a, b))
-    if seen != set(range(ns + term.target.n_atoms)):
+    mate = _mate(term)
+    if any(m == k or mate[m] != k for k, m in enumerate(mate)):
         raise DiagramError("axiom linking is not a perfect matching")
-    return AxiomLinking(term.source, term.target, tuple(sorted(pairs)))
+    return AxiomLinking(term.source, term.target,
+                        tuple((k, m) for k, m in enumerate(mate) if k < m))
 
 
 # -- sentence meanings
@@ -436,43 +336,36 @@ def extract_axiom_links(term: ProofTerm) -> AxiomLinking:
 
 def link_diagram(linking: AxiomLinking) -> Diagram:
     """The linking as a diagram: inputs are the source wires, outputs
-    the target wires, and every link becomes a cup arc, a through wire,
-    or a cap arc depending on which sides it touches."""
-    src_blocks = atom_wire_blocks(linking.source)
-    tgt_blocks = atom_wire_blocks(linking.target)
-    w_in = interpret_type(linking.source)
-    w_out = interpret_type(linking.target)
-    ns = len(src_blocks)
-
+    the target wires, and every link joins each wire of one atom to the
+    wire of the same part in the other, by a cup arc, a through wire, or
+    a cap arc depending on which sides they touch."""
     bld = Builder()
-    for sp, dl in w_in:
-        bld.add_input(sp, dl)
-    for sp, dl in w_out:
-        bld.add_output(sp, dl)
+    # each occurrence's wires in wire order, as (port, space, part)
+    ends: list[list] = [[] for _ in range(linking.source.n_atoms + linking.target.n_atoms)]
+    for sp, dl, atom, part in _wires(linking.source):
+        ends[atom].append((bld.add_input(sp, dl), sp, part))
+    for sp, dl, atom, part in _wires(linking.target, linking.source.n_atoms):
+        ends[atom].append((bld.add_output(sp, dl), sp, part))
 
     for a, b in linking.links:
-        a_src, b_src = a < ns, b < ns
-        ba = src_blocks[a] if a_src else tgt_blocks[a - ns]
-        bb = src_blocks[b] if b_src else tgt_blocks[b - ns]
-        if ba.size != bb.size:
+        mates = {part: port for port, _, part in ends[b]}
+        if len(ends[a]) != len(mates):
             raise DiagramError("linked atoms with different wire widths")
-        for t in range(ba.size):
-            wa = ba.start + t
-            wb = bb.start + (t if ba.flipped == bb.flipped else ba.size - 1 - t)
-            sp = (w_in if a_src else w_out)[wa][0]
-            match a_src, b_src:
-                case True, True:
+        for port, sp, part in ends[a]:
+            other = mates[part]
+            match port[0], other[0]:
+                case "I", "I":
                     nid = bld.add_node("cup", (sp, sp), ())
-                    bld.wire(("I", wa), ("i", nid, 0))
-                    bld.wire(("I", wb), ("i", nid, 1))
-                case True, False:
-                    bld.wire(("I", wa), ("O", wb))
-                case False, True:
-                    bld.wire(("I", wb), ("O", wa))
-                case False, False:
+                    bld.wire(port, ("i", nid, 0))
+                    bld.wire(other, ("i", nid, 1))
+                case "I", "O":
+                    bld.wire(port, other)
+                case "O", "I":
+                    bld.wire(other, port)
+                case "O", "O":
                     nid = bld.add_node("cap", (), (sp, sp))
-                    bld.wire(("o", nid, 0), ("O", wa))
-                    bld.wire(("o", nid, 1), ("O", wb))
+                    bld.wire(("o", nid, 0), port)
+                    bld.wire(("o", nid, 1), other)
     return bld.diagram()
 
 

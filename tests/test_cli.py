@@ -337,6 +337,17 @@ def test_eval_bad_dims_exits_2(tmp_path, capsys):
     assert f"(100000, 100000, 100000) has more than {MAX_TENSOR_ELEMENTS} entries" in err
 
 
+def test_eval_negative_seed_exits_2(tmp_path, capsys):
+    words = ("papers", "that", "Bob", "rejected", "without", "reading", "--goal", "n")
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(
+        {"schema": "tensors/1", "dims": {"N": 2, "S": 2}, "seed": -3, "tensors": {}}))
+    for source, value in ((("--seed", "-1"), "-1"), (("--store", str(store)), "-3")):
+        code, out, err = run(capsys, "eval", *words, *source)
+        assert code == 2 and not out, source
+        assert err == f"error: tensor store seed must be 0 or more, not {value}\n", source
+
+
 def test_eval_strict_store_missing_tensor_exits_2(tmp_path, capsys):
     store = TensorStore({"N": 2, "S": 2}, seed=0)
     store.get("Bob", ("N",))  # only Bob is materialized

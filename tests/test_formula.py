@@ -17,7 +17,6 @@ from lambeksem.formula import (
     Polarity,
     Tensor,
     Under,
-    atom_count,
     count_vector,
     iter_atoms,
     parse_formula,
@@ -233,15 +232,16 @@ def manual_modal_count(f, mode, sign=1):
 
 def test_atom_count_fixtures():
     tv = parse_formula("(np\\s)/np")
-    assert atom_count(parse_formula("np"), "np", Polarity.POS) == 1
-    assert atom_count(tv, "s", Polarity.POS) == 1
-    assert atom_count(tv, "np", Polarity.POS) == -2
-    assert atom_count(tv, "np", Polarity.NEG) == 2
+    assert count_vector(parse_formula("np")).get("np", 0) == 1
+    assert count_vector(tv).get("s", 0) == 1
+    assert count_vector(tv).get("np", 0) == -2
+    # seen at negative outer polarity, every count flips its sign
+    assert -count_vector(tv).get("np", 0) == 2
     # the gap subtype sits under two argument positions, so it surfaces
     # positively and balances the np of the clause body
     that = parse_formula("(n\\n)/(s/<x>[x]np)")
-    assert atom_count(that, "np", Polarity.POS) == 1
-    assert atom_count(that, "n", Polarity.POS) == 0
+    assert count_vector(that).get("np", 0) == 1
+    assert count_vector(that).get("n", 0) == 0
     # the gap's diamond and box cancel; an island-locked head is one box down
     assert count_vector(that) == {"np": 1, "s": -1}
     assert count_vector(parse_formula("[i](np\\s)/gp")) == {
@@ -268,8 +268,8 @@ def test_atom_count_matches_manual_recursion():
         f = random_formula(rng)
         assert f.n_atoms == manual_nodes(f, 1, lambda *kids: sum(kids))
         for a in {name for _, name, _ in iter_atoms(f)}:
-            assert atom_count(f, a, Polarity.POS) == manual_count(f, a)
             assert count_vector(f).get(a, 0) == manual_count(f, a)
+            assert -count_vector(f).get(a, 0) == manual_count(f, a, -1)
         for mode in Mode:
             key = f"<{mode.value}>"
             assert count_vector(f).get(key, 0) == manual_modal_count(f, mode)

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from lambeksem.formula import MAX_DEPTH, Tensor, count_vector, parse_formula, print_formula
+from lambeksem.formula import MAX_DEPTH, Tensor, count_vector, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     MAX_SEARCH_WORDS,

@@ -53,6 +53,17 @@ def test_different_names_and_seeds_differ():
     assert not np.array_equal(s.get("alice", ("N",)), other.get("alice", ("N",)))
 
 
+def test_negative_seed_is_refused():
+    # a negative seed would make a negative generator key, which numpy
+    # refuses only at the first draw, with an error of its own
+    with pytest.raises(TensorError, match="seed must be 0 or more, not -1"):
+        TensorStore({"N": 2}, seed=-1)
+    doc = '{"schema": "tensors/1", "dims": {"N": 2}, "seed": -7, "tensors": {}}'
+    with pytest.raises(TensorError, match="not -7"):
+        TensorStore.from_json(doc)
+    assert TensorStore({"N": 2}, seed=0).seed == 0
+
+
 def test_store_shape_discipline():
     s = TensorStore({"N": 3, "S": 2})
     arr = s.get("f", ("N", "S"))

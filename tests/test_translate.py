@@ -13,6 +13,7 @@ from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     SEARCH_CACHE_SIZE,
     Arrow,
+    SearchConfig,
     alpha,
     coev_box,
     coev_over,
@@ -41,7 +42,7 @@ from lambeksem.translate import (
     link_diagram,
     proof_meaning,
 )
-from conftest import composable_proof_pairs, random_formula
+from conftest import benchmark_corpus, composable_proof_pairs, random_formula
 
 N = ("N", False)
 Nd = ("N", True)
@@ -227,6 +228,44 @@ def test_routes_agree_rule_by_rule(rng):
             agree(mon(f, g))
     for f, g in composable_proof_pairs(rng, 40):
         agree(pcompose(g, f))
+
+
+def assert_cancelling_matching(linking):
+    """The linking's own invariant, as the ``AxiomLinking`` docstring
+    states it."""
+    occ = linking.occurrences
+    # each occurrence is in exactly one link
+    assert sorted(k for pair in linking.links for k in pair) == list(range(len(occ)))
+    for a, b in linking.links:
+        (side_a, atom_a, pol_a), (side_b, atom_b, pol_b) = occ[a], occ[b]
+        assert atom_a == atom_b, (a, b)
+        # opposite polarities within a side, the same across the sides
+        assert (pol_a == pol_b) == (side_a != side_b), (a, b)
+
+
+def test_linking_is_a_matching_of_cancelling_atoms(rng):
+    def axiom(build, arity):
+        return build(*(random_formula(rng, depth=2) for _ in range(arity)))
+
+    for spec in AXIOMS:
+        for _ in range(25):
+            assert_cancelling_matching(extract_axiom_links(axiom(*spec)))
+    for _ in range(60):
+        f, g, h = (axiom(*rng.choice(AXIOMS)) for _ in range(3))
+        for mon in (mon_over, mon_under, mon_tensor):
+            assert_cancelling_matching(extract_axiom_links(mon(f, g)))
+            assert_cancelling_matching(extract_axiom_links(mon(mon_over(f, g), h)))
+    for f, g in composable_proof_pairs(rng, 40):
+        assert_cancelling_matching(extract_axiom_links(pcompose(g, f)))
+        assert_cancelling_matching(extract_axiom_links(mon_under(f, pcompose(g, f))))
+    lex = builtin_lexicon()
+    every = SearchConfig(find_all=True)
+    for item in benchmark_corpus().suite_items(1):
+        result = derive_sentence(lex, item["words"], F(item["goal"]),
+                                 bracketing=item["bracketing"], config=every)
+        assert bool(result.parses) == item["derivable"], item["words"]
+        for parse in result.parses:
+            assert_cancelling_matching(extract_axiom_links(parse.proof))
 
 
 def test_link_diagram_is_kept_per_proof():
