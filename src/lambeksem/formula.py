@@ -72,11 +72,25 @@ class Formula:
         self._counts = None
 
     def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is type(self)
-            and other._hash == self._hash
-            and other._parts == self._parts
-        )
+        if self is other:
+            return True
+        if type(other) is not type(self) or other._hash != self._hash:
+            return False
+        if self.depth <= MAX_DEPTH:
+            return other._parts == self._parts
+        # the tuple comparison recurses once per level, so a formula
+        # deeper than the parser allows is compared by a walk instead
+        pairs = list(zip(self._parts, other._parts))
+        while pairs:
+            a, b = pairs.pop()
+            if not isinstance(a, Formula):
+                if a != b:
+                    return False
+            elif a is not b:
+                if type(b) is not type(a) or b._hash != a._hash:
+                    return False
+                pairs += zip(a._parts, b._parts)
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -505,6 +519,17 @@ def count_vector(f: Formula) -> dict[str, int]:
     counts = f._counts
     if counts is not None:
         return counts
+    if f.depth > MAX_DEPTH:
+        # deeper than the parser allows: count the uncounted subformulas
+        # first, deepest first, so that no call below recurses further
+        below, stack = [], list(f._parts)
+        while stack:
+            g = stack.pop()
+            if isinstance(g, Formula) and g._counts is None:
+                below.append(g)
+                stack += g._parts
+        for g in reversed(below):
+            count_vector(g)
     match f:
         case Atom(name):
             counts = {name: 1}

@@ -1,8 +1,9 @@
 """Numeric evaluation of string diagrams.
 
 Two independent routes are provided on purpose.  ``eval_diagram``
-contracts a diagram with ``numpy.einsum`` after collapsing spiders,
-cups, caps and swaps into shared-index classes.  ``oracle_eval``
+collapses spiders, cups, caps and swaps into shared-index classes and
+contracts the rest pairwise, with the steps ``numpy.einsum`` takes
+along a kept path, each bounded before it allocates.  ``oracle_eval``
 enumerates every assignment of basis indices to wires and sums the
 products of node entries; it is slow and dumb, which is exactly what a
 cross-check should be.  The two must agree to float precision on any
@@ -31,7 +32,8 @@ class TensorError(ValueError):
     pass
 
 
-# The most entries a store generates for one tensor (128 MiB of float64).
+# The most entries a store generates for one tensor, and the most an
+# evaluation's operands and intermediates may have (128 MiB of float64).
 MAX_TENSOR_ELEMENTS = 2**24
 
 
@@ -171,48 +173,74 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
     The result covers the boundary, inputs first then outputs, with dual
     flags dropped (every space is modelled as self-dual).
 
-    Everything but the tensors depends on the shape of ``d`` alone, and
-    :func:`_eval_plan` keeps it per shape, the contraction order
-    included.  A call validates ``d``, fetches its box tensors and the
-    copy and ones operands at the store's dimensions, and makes one
-    ``np.einsum`` call along the kept path.
+    Everything but the tensors depends on the shape of ``d`` and on the
+    order of the store's dimensions: :func:`_eval_plan` keeps the
+    operands and the contraction path per shape, and
+    :func:`_eval_program` the pairwise steps numpy's
+    ``einsum(optimize=path)`` would take, per shape and dimension order.
+    A call validates ``d`` and checks, before it fetches anything, that
+    no operand and no step's result has more than
+    ``MAX_TENSOR_ELEMENTS`` entries at the store's dimensions.  Then it
+    fetches the box tensors, builds the copy and ones operands and runs
+    the steps.
     """
     d.validate()
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
     plan = _eval_plan(d.shape)
-    args: list = []
-    for name, (spaces, idx) in zip(d.box_names, plan.boxes):
-        args += (store.get(name, spaces), idx)
-    for space, idx in plan.copies:
-        args += (np.eye(store.dim(space)), idx)
-    for space, idx in plan.ones:
-        args += (np.ones(store.dim(space)), idx)
     scalar = 1.0
     for space in plan.loops:
         scalar *= store.dim(space)
-    if not args:
+    if not plan.terms:
         return TensorValue(out_spaces, np.array(scalar))
-    value = np.einsum(*args, plan.out, optimize=plan.path) * scalar
-    return TensorValue(out_spaces, value)
+    dims = store.shape(plan.spaces)
+    distinct = sorted({1, *dims})
+    program = _eval_program(plan, tuple(distinct.index(n) for n in dims))
+    for what, axes in program.bounds:
+        shape = tuple(dims[a] for a in axes)
+        if math.prod(shape) > MAX_TENSOR_ELEMENTS:
+            if type(what) is int:
+                what = f"tensor {d.box_names[what]!r}"
+            raise TensorError(
+                f"{what} of shape {shape} has more than {MAX_TENSOR_ELEMENTS} entries"
+            )
+    operands = [store.get(name, spaces) for name, spaces in zip(d.box_names, plan.boxes)]
+    operands += [np.eye(dims[a]) for a in plan.copies]
+    operands += [np.ones(dims[a]) for a in plan.ones]
+    for step in program.steps:
+        operands.append(step.run([operands.pop(p) for p in step.take], dims))
+    return TensorValue(out_spaces, operands[0] * scalar)
 
 
 # The size every space takes when a plan chooses its contraction order.
 PATH_DIM = 2
 
+# numpy's einsum letters for labels 0..51, in label order.
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class _Plan:
-    """How a shape contracts: the (spaces, labels) of each box operand in
-    node order, the (space, labels) of each copy and each ones operand,
-    the spaces of the closed loops, the output labels, and the einsum
-    path over those operands."""
+    """How a shape contracts, at any dimensions.
 
-    boxes: tuple
-    copies: tuple
-    ones: tuple
+    ``spaces`` are the spaces the operands use, and an axis is a position
+    in it.  The operands are one box tensor over each of ``boxes`` in
+    node order, then an identity matrix on each of ``copies`` and a ones
+    vector on each of ``ones``.  ``terms`` holds each operand's einsum
+    labels, ``out`` the output's, and ``axes`` the axis of each label.
+    ``loops`` are the spaces of the closed loops, and ``path`` the
+    einsum path over the operands.  A plan compares by identity: it
+    stands for the shape :func:`_eval_plan` keeps it under.
+    """
+
+    spaces: tuple[str, ...]
+    boxes: tuple[tuple[str, ...], ...]
+    copies: tuple[int, ...]
+    ones: tuple[int, ...]
+    terms: tuple[tuple[int, ...], ...]
+    out: tuple[int, ...]
+    axes: tuple[int, ...]
     loops: tuple[str, ...]
-    out: list[int]
-    path: list | None
+    path: tuple | None
 
 
 @functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
@@ -244,17 +272,16 @@ def _eval_plan(shape: Diagram) -> _Plan:
     copies: list[tuple[str, list[int]]] = []
     out_idx: list[int] = []
     seen_out: set[int] = set()
-    next_free = len(spaces)
     for c in boundary_classes:
         if c not in seen_out:
             seen_out.add(c)
             out_idx.append(c)
             continue
-        copies.append((spaces[c], [c, next_free]))
-        covered.add(c)
-        covered.add(next_free)
-        out_idx.append(next_free)
-        next_free += 1
+        # the copy's second label is a new class of the same space
+        copies.append((spaces[c], [c, len(spaces)]))
+        covered.update((c, len(spaces)))
+        out_idx.append(len(spaces))
+        spaces.append(spaces[c])
     ones: list[tuple[str, list[int]]] = []
     for c in seen_out:
         if c not in covered:
@@ -264,22 +291,173 @@ def _eval_plan(shape: Diagram) -> _Plan:
 
     operands = boxes + copies + ones
     if not operands:
-        return _Plan((), (), (), loops, [], None)
+        return _Plan((), (), (), (), (), (), (), loops, None)
     labels = sorted({c for _, idx in operands for c in idx})
     if len(labels) > 52:
         raise TensorError("diagram needs more than 52 einsum indices")
     dense = {c: i for i, c in enumerate(labels)}
-
-    def relabel(ops):
-        return tuple((sp, [dense[c] for c in idx]) for sp, idx in ops)
-
-    boxes, copies, ones = relabel(boxes), relabel(copies), relabel(ones)
-    out = [dense[c] for c in out_idx]
+    used = sorted({spaces[c] for c in labels})
+    axis = {space: a for a, space in enumerate(used)}
+    terms = tuple(tuple(dense[c] for c in idx) for _, idx in operands)
+    out = tuple(dense[c] for c in out_idx)
     sized: list = []
-    for _, idx in boxes + copies + ones:
-        sized += (np.empty((PATH_DIM,) * len(idx)), idx)
+    for term in terms:
+        sized += (np.empty((PATH_DIM,) * len(term)), term)
     path, _ = np.einsum_path(*sized, out, optimize="greedy")
-    return _Plan(boxes, copies, ones, loops, out, path)
+    return _Plan(
+        tuple(used),
+        tuple(sp for sp, _ in boxes),
+        tuple(axis[sp] for sp, _ in copies),
+        tuple(axis[sp] for sp, _ in ones),
+        terms,
+        out,
+        tuple(axis[spaces[c]] for c in labels),
+        loops,
+        tuple(path),
+    )
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One step of a contraction program: pop the operands at ``take``
+    and push what the rest computes from them.  With ``equation`` set,
+    that is one einsum call over all of them.  Otherwise it is numpy's
+    pairwise one: prepare each side by its equation (diagonals, sums, a
+    transpose), reshape it to the fused sizes of its label groups,
+    multiply the two by ``matmul``, or elementwise when nothing is
+    contracted, then unfuse and permute the result.  A group is a tuple
+    of axes, and fuses to the product of their dimensions."""
+
+    take: tuple[int, ...]
+    equation: str | None = None
+    prepare: tuple = (None, None)
+    fuse: tuple = (None, None)
+    matmul: bool = False
+    unfuse: tuple | None = None
+    perm: tuple[int, ...] | None = None
+
+    def run(self, ops: list, dims: tuple[int, ...]) -> np.ndarray:
+        if self.equation is not None:
+            return np.einsum(self.equation, *ops)
+        for k, (eq, groups) in enumerate(zip(self.prepare, self.fuse)):
+            if eq is not None:
+                ops[k] = np.einsum(eq, ops[k])
+            if groups is not None:
+                ops[k] = ops[k].reshape(_sizes(groups, dims))
+        if not self.matmul:
+            return np.multiply(*ops)
+        value = np.matmul(*ops)
+        if self.unfuse is not None:
+            value = value.reshape(_sizes(self.unfuse, dims))
+        if self.perm is not None:
+            value = value.transpose(self.perm)
+        return value
+
+
+def _sizes(groups, dims) -> tuple[int, ...]:
+    return tuple([math.prod([dims[a] for a in g]) for g in groups])
+
+
+@dataclass(frozen=True)
+class _Program:
+    """The steps that contract a plan's operands, and what a call bounds
+    before it fetches them: (what, axes) for each operand, the box
+    operands by their position, and for each step's result."""
+
+    bounds: tuple
+    steps: tuple[_Step, ...]
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _eval_program(plan: _Plan, order: tuple[int, ...]) -> _Program:
+    """The steps numpy's ``einsum(..., optimize=path)`` takes along a
+    plan's path, at any dimensions of ``order``.
+
+    ``order`` ranks each space of the plan among the distinct dimensions
+    and 1, so a rank of 0 is a dimension of 1.  numpy's steps depend on
+    the dimensions through that alone: it orders each intermediate's
+    labels by (dimension, label), and its pairwise split drops the
+    labels of size 1.  So, step for step, the program makes the calls
+    that einsum makes, on the same arrays, and the value is bitwise
+    einsum's.  That is numpy 2.4's einsum, which runs each pairwise step
+    by batched matmul; an older one contracts pairs by ``tensordot``,
+    and agrees with the program to rounding.
+    """
+    rank = [order[a] for a in plan.axes]
+    bounds: list = [(k, tuple(plan.axes[c] for c in term))
+                    for k, term in enumerate(plan.terms[:len(plan.boxes)])]
+    bounds += [(f"the copy operand over {plan.spaces[a]!r}", (a, a)) for a in plan.copies]
+    bounds += [(f"the ones operand over {plan.spaces[a]!r}", (a,)) for a in plan.ones]
+    terms = list(plan.terms)
+    steps = []
+    for n, take in enumerate(plan.path[1:], 1):
+        take = tuple(sorted(take, reverse=True))
+        ins = [terms.pop(p) for p in take]
+        last = n == len(plan.path) - 1
+        if last:
+            result = plan.out
+        else:
+            kept = set(plan.out).union(*terms)
+            result = tuple(sorted(set().union(*ins) & kept, key=lambda c: (rank[c], c)))
+        terms.append(result)
+        what = "the value" if last else f"contraction step {n}'s result"
+        bounds.append((what, tuple(plan.axes[c] for c in result)))
+        if len(ins) == 2:
+            steps.append(_pair_step(take, *ins, result, rank, plan.axes))
+        else:
+            steps.append(_Step(take, ",".join(map(_letters, ins)) + "->" + _letters(result)))
+    return _Program(tuple(bounds), tuple(steps))
+
+
+def _letters(term) -> str:
+    return "".join(_LETTERS[c] for c in term)
+
+
+def _pair_step(take, a, b, out, rank, axes) -> _Step:
+    """numpy's ``bmm_einsum`` split of ``a,b->out``: labels of size 1
+    are left to the prepare equations, and the others are batch, kept
+    or contracted as they appear on both sides and the output, on one
+    side and the output, or on both sides only."""
+    left = [c for c in dict.fromkeys(a) if rank[c]]
+    right = [c for c in dict.fromkeys(b) if rank[c]]
+    batch = [c for c in left if c in right and c in out]
+    summed = [c for c in left if c in right and c not in out]
+    keep_a = [c for c in left if c not in right and c in out]
+    keep_b = [c for c in right if c not in left and c in out]
+
+    def prepare(term, want):
+        return None if tuple(want) == term else f"{_letters(term)}->{_letters(want)}"
+
+    def fused(groups):
+        if all(len(g) == 1 for g in groups):
+            return None
+        return tuple(tuple(axes[c] for c in g) for g in groups)
+
+    if not summed:
+        # broadcast multiply: each side in output order, size 1 where it
+        # lacks a label
+        return _Step(
+            take,
+            prepare=(prepare(a, [c for c in out if c in a]),
+                     prepare(b, [c for c in out if c in b])),
+            fuse=tuple(tuple((axes[c],) if c in t else () for c in out) for t in (a, b)),
+        )
+    groups = [(keep_a, summed), (summed, keep_b), (keep_a, keep_b)]
+    if batch:
+        groups = [(batch, *g) for g in groups]
+    units = [c for c in out if not rank[c]]
+    produced = units + batch + keep_a + keep_b
+    unfuse = None
+    if units or any(len(g) != 1 for g in groups[2]):
+        unfuse = ((),) * len(units) + tuple((axes[c],) for g in groups[2] for c in g)
+    return _Step(
+        take,
+        prepare=(prepare(a, batch + keep_a + summed), prepare(b, batch + summed + keep_b)),
+        fuse=(fused(groups[0]), fused(groups[1])),
+        matmul=True,
+        unfuse=unfuse,
+        perm=None if tuple(produced) == out else tuple(produced.index(c) for c in out),
+    )
 
 
 # -- brute-force oracle

@@ -38,7 +38,7 @@ from lambeksem.prover import (
     derive_sentence,
     format_bracketing,
 )
-from lambeksem.tensor import _eval_plan
+from lambeksem.tensor import _eval_plan, _eval_program
 from lambeksem.translate import _compiled_shape, extract_axiom_links
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
@@ -157,13 +157,15 @@ def composable_proof_pairs(rng: random.Random, count: int):
 
 @pytest.fixture(autouse=True)
 def cold_search_cache():
-    """Each test starts with no sentence search and no compiled,
-    normalized or evaluation plan shape kept, so a test that counts what
-    a search, a compile, a normalize or an evaluation does sees it done."""
+    """Each test starts with no sentence search, no compiled, normalized
+    or evaluation plan shape and no contraction program kept, so a test
+    that counts what a search, a compile, a normalize or an evaluation
+    does sees it done."""
     _derive.cache_clear()
     _compiled_shape.cache_clear()
     _normal_shape.cache_clear()
     _eval_plan.cache_clear()
+    _eval_program.cache_clear()
 
 
 @contextlib.contextmanager

@@ -337,6 +337,17 @@ def test_eval_bad_dims_exits_2(tmp_path, capsys):
     assert f"(100000, 100000, 100000) has more than {MAX_TENSOR_ELEMENTS} entries" in err
 
 
+def test_eval_over_the_size_bound_exits_2(capsys):
+    # each verb box has 256 * 2 * 256 entries, but the value of the pair
+    # would have about 1.7e10 (137 GB): it is refused before anything is
+    # fetched or allocated
+    code, out, err = run(capsys, "eval", "rejected", "rejected",
+                         "--goal", "((np\\s)/np)*((np\\s)/np)", "--dims", "N=256,S=2")
+    assert code == 2 and not out
+    assert err.startswith("error: the value of shape (256, 2, 256, 256, 2, 256) has more "
+                          f"than {MAX_TENSOR_ELEMENTS} entries")
+
+
 def test_eval_negative_seed_exits_2(tmp_path, capsys):
     words = ("papers", "that", "Bob", "rejected", "without", "reading", "--goal", "n")
     store = tmp_path / "store.json"

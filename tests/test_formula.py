@@ -91,6 +91,23 @@ def test_print_takes_any_depth():
     assert print_formula(left) == "(" * 2998 + "np" + "/np)" * 2998 + "/np"
 
 
+def test_counts_and_equality_take_any_depth():
+    # chains built in code may be far deeper than the parser allows; the
+    # count and the comparison walk them without running out of stack
+    def chain(depth, leaf):
+        f = Atom("s")
+        for _ in range(depth):
+            f = Over(f, Atom(leaf))
+        return f
+
+    deep, again, other = chain(3000, "np"), chain(3000, "np"), chain(3000, "n")
+    assert count_vector(deep) == {"s": 1, "np": -3000}
+    assert deep == again and deep is not again
+    assert deep != other and again != Over(other, Atom("np"))
+    assert count_vector(Tensor(deep, Box(Mode.X, Dia(Mode.X, other)))) == {
+        "s": 2, "np": -3000, "n": -3000}
+
+
 def test_slash_chain_associativity():
     # / nests to the right, \ to the left
     assert parse_formula("a/b/c") == Over(Atom("a"), Over(Atom("b"), Atom("c")))

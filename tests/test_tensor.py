@@ -1,5 +1,6 @@
 """Numeric backend: the store, the evaluator, and its brute-force check."""
 
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from lambeksem.diagram import (
     tensor_par,
 )
 from lambeksem.tensor import (
+    MAX_TENSOR_ELEMENTS,
     TensorError,
     TensorStore,
     _eval_plan,
@@ -202,6 +204,37 @@ def test_a_missing_tensor_is_an_error_on_every_call():
             eval_diagram(d, st)
     st.set("absent", ("N",), np.array([2.0, 3.0]))
     np.testing.assert_array_equal(eval_diagram(d, st).array, [2.0, 3.0])
+
+
+def test_an_oversized_contraction_is_refused_before_any_fetch():
+    # strict empty stores: a fetch would raise "not in the store", so a
+    # size error shows that nothing was fetched or allocated; at one of
+    # these dims, diagram 10 of this stream has 536,870,912 entries
+    rng = random.Random(29)
+    refused = []
+    for k in range(20):
+        d = random_diagram(rng, max_nodes=5)
+        boundary = [s for s, _ in d.inputs + d.outputs]
+        for dims in ({"N": 16, "S": 2}, {"N": 2, "S": 16}):
+            store = TensorStore(dims, generate=False)
+            try:
+                eval_diagram(d, store)
+            except TensorError as err:
+                if "not in the store" not in str(err):
+                    assert f"has more than {MAX_TENSOR_ELEMENTS} entries" in str(err)
+                    refused.append((k, dims["N"]))
+            if math.prod(store.shape(boundary)) > MAX_TENSOR_ELEMENTS:
+                assert refused[-1:] == [(k, dims["N"])]
+    assert refused == [(10, 2), (13, 16)]
+
+
+def test_an_oversized_copy_operand_is_refused():
+    # the boundary visits one class twice, so the evaluator would build
+    # an identity matrix of dim ** 2 entries
+    st = TensorStore({"N": 2**13}, generate=False)
+    with pytest.raises(TensorError, match=r"copy operand over 'N' of shape \(8192, 8192\)"):
+        eval_diagram(spider("N", 0, 2), st)
+    assert eval_diagram(spider("N", 0, 2), TensorStore({"N": 3})).array.tolist() == np.eye(3).tolist()
 
 
 def test_network_evaluation_shapes():
