@@ -36,6 +36,11 @@ CLOSED_FORMS = {
     ("papers", "that", "Bob", "rejected", "without", "reading"): "closed_form_1d",
 }
 
+# the most terms ``eval --check`` lets the brute-force oracle enumerate:
+# a few seconds of pure-Python loops; a diagram with more reports
+# ``oracle_skipped``
+CHECK_ORACLE_TERMS = 2**21
+
 
 class UsageError(Exception):
     pass
@@ -217,15 +222,16 @@ def cmd_eval(args) -> int:
 
     from . import tensor
 
+    # a bad store is an input error, whatever the search would find
+    if args.store:
+        store = tensor.TensorStore.load(args.store, generate=False)
+    else:
+        store = tensor.TensorStore(_parse_dims(args.dims), seed=args.seed)
     lexicon = _load_lexicon(args.lexicon)
     result, parse, diagram = _compile_first(args, lexicon)
     if diagram is None:
         print(_failure(result), file=sys.stderr)
         return EXIT_CODES[_verdict(result)]
-    if args.store:
-        store = tensor.TensorStore.load(args.store, generate=False)
-    else:
-        store = tensor.TensorStore(_parse_dims(args.dims), seed=args.seed)
     value = tensor.eval_diagram(diagram, store)
     report = {
         "schema": SCHEMA,
@@ -235,7 +241,7 @@ def cmd_eval(args) -> int:
     }
     if args.check:
         try:
-            oracle = tensor.oracle_eval(diagram, store)
+            oracle = tensor.oracle_eval(diagram, store, budget=CHECK_ORACLE_TERMS)
         except tensor.TensorError as err:
             report["oracle_skipped"] = str(err)
         else:

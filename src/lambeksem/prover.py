@@ -761,59 +761,24 @@ def parse_bracketing(text: str, words: Sequence[str]):
     return tree
 
 
-class _Trees:
-    """The binary trees over one span of leaves, fully right-branching
-    first.  They are built as they are first asked for and kept, so
-    iterating again reads what was built, and a span's trees are shared
-    by every tree that contains the span."""
-
-    __slots__ = ("_built", "_pending")
-
-    def __init__(self, built: list, pending: Iterator):
-        self._built = built
-        self._pending = pending
-
-    def __iter__(self) -> Iterator:
-        built, k = self._built, 0
-        while True:
-            if k == len(built):
-                tree = next(self._pending, None)
-                if tree is None:
-                    return
-                built.append(tree)
-            yield built[k]
-            k += 1
-
-
-def _joined(splits) -> Iterator:
-    for left_trees, right_trees in splits:
-        for left in left_trees:
-            for right in right_trees:
-                yield BracketNode(left, right)
-
-
-def _bracketings(n: int, splits: Mapping | None = None) -> _Trees:
-    """The trees over leaves 0..n-1, sharing the trees over every span.
-    A span's trees refer only to those of shorter spans, so no reference
-    cycle keeps them alive once the caller drops them.  ``splits`` maps
+def _bracketings(types: Sequence[Formula], splits: Mapping | None = None,
+                 i: int = 0, j: int | None = None) -> Iterator:
+    """The binary trees over the leaves i..j-1, all of ``types`` unless
+    given, fully right-branching first, each with its antecedent: a
+    leaf's type, and the ``Tensor`` of a node's halves.  ``splits`` maps
     a span (i, j) to the split points its trees may use, in order; a
     span it does not name has no trees.  The trees are then those of the
     full enumeration whose every node uses a listed split, in the same
-    order."""
-    spans = {(i, i + 1): _Trees([BracketLeaf(i)], iter(())) for i in range(n)}
-    for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            ks = range(i + 1, j) if splits is None else splits.get((i, j), ())
-            spans[i, j] = _Trees([], _joined([(spans[i, k], spans[k, j]) for k in ks]))
-    return spans[0, n]
-
-
-def _right_branching(n: int) -> BracketNode | BracketLeaf:
-    """The first tree of ``_bracketings(n)``: every node splits off its
-    leftmost leaf."""
-    return functools.reduce(lambda right, i: BracketNode(BracketLeaf(i), right),
-                            reversed(range(n - 1)), BracketLeaf(n - 1))
+    order.  Nothing is kept: a right half's trees are built again for
+    each left half."""
+    j = len(types) if j is None else j
+    if j == i + 1:
+        yield BracketLeaf(i), types[i]
+        return
+    for k in range(i + 1, j) if splits is None else splits.get((i, j), ()):
+        for left, fl in _bracketings(types, splits, i, k):
+            for right, fr in _bracketings(types, splits, k, j):
+                yield BracketNode(left, right), Tensor(fl, fr)
 
 
 def _locked(f: Formula) -> bool:
@@ -823,36 +788,27 @@ def _locked(f: Formula) -> bool:
     return isinstance(f, Box)
 
 
-def _antecedent(tree, types: Sequence[Formula], memo: dict) -> Formula:
-    """The antecedent formula of ``tree``.  ``memo`` maps the ``id`` of
-    each subtree seen to the subtree and its formula, so shared subtrees
-    share theirs; holding the subtree keeps its ``id`` from being reused
-    by another tree while the memo lives."""
-    hit = memo.get(id(tree))
-    if hit is not None:
-        return hit[1]
+def _antecedent(tree, types: Sequence[Formula]) -> Formula:
+    """The antecedent formula of the bracketing ``tree`` over ``types``:
+    a leaf's type, the ``Tensor`` of a node's halves, each under ``<i>``
+    where it is wrapped."""
     if isinstance(tree, BracketLeaf):
         f = types[tree.index]
     else:
-        f = Tensor(
-            _antecedent(tree.left, types, memo),
-            _antecedent(tree.right, types, memo),
-        )
-    if tree.wrap:
-        f = Dia(Mode.I, f)
-    memo[id(tree)] = (tree, f)
-    return f
+        f = Tensor(_antecedent(tree.left, types), _antecedent(tree.right, types))
+    return Dia(Mode.I, f) if tree.wrap else f
 
 
-def _island_wraps(tree, locked_leaves: set[int], antecedent, k: int) -> Iterator:
-    """The tree, which has no wrap, with ``k`` island wraps, and its
-    antecedent, for each set of ``k`` constituents whose leftmost words
-    are distinct box-locked words (one wrap per locked word is all that
-    is ever useful), nested ones included, in the lexicographic preorder
-    of the constituents.  The nodes a preorder walk pops since the last
-    leaf are the left spine down to the next leaf, its leftmost word."""
+def _island_wraps(tree, antecedent: Formula, locked_leaves: set[int], k: int) -> Iterator:
+    """The tree, which has no wrap and has the antecedent ``antecedent``,
+    with ``k`` island wraps, and its antecedent, for each set of ``k``
+    constituents whose leftmost words are distinct box-locked words (one
+    wrap per locked word is all that is ever useful), nested ones
+    included, in the lexicographic preorder of the constituents.  The
+    nodes a preorder walk pops since the last leaf are the left spine
+    down to the next leaf, its leftmost word."""
     if not k:
-        yield tree, antecedent(tree)
+        yield tree, antecedent
         return
     starts, stack, spine = [], [(tree, ())], []
     while stack:
@@ -869,18 +825,21 @@ def _island_wraps(tree, locked_leaves: set[int], antecedent, k: int) -> Iterator
         if len({leaf for _, _, leaf in chosen}) == k:
             wrapped = {id(sub) for sub, _, _ in chosen}
             touched = wrapped.union(*(above for _, above, _ in chosen))
-            yield _rewrap(tree, wrapped, touched, antecedent)
+            yield _rewrap(tree, antecedent, wrapped, touched)
 
 
-def _rewrap(node, wrapped: set, touched: set, antecedent):
-    """``node`` with a wrap over each subtree whose ``id`` is in ``wrapped``,
-    and its antecedent; ``touched`` adds the ids of the nodes above them."""
+def _rewrap(node, f: Formula, wrapped: set, touched: set):
+    """``node``, whose antecedent is ``f``, with a wrap over each subtree
+    whose ``id`` is in ``wrapped``, and its antecedent; ``touched`` adds
+    the ids of the nodes above them.  The formula is rewritten in step
+    with the tree: a node's is the ``Tensor`` of its halves', and a wrap
+    adds ``<i>``."""
     if id(node) not in touched:
-        return node, antecedent(node)
+        return node, f
     if isinstance(node, BracketLeaf):
-        return BracketLeaf(node.index, True), Dia(Mode.I, antecedent(node))
-    left, fl = _rewrap(node.left, wrapped, touched, antecedent)
-    right, fr = _rewrap(node.right, wrapped, touched, antecedent)
+        return BracketLeaf(node.index, True), Dia(Mode.I, f)
+    left, fl = _rewrap(node.left, f.left, wrapped, touched)
+    right, fr = _rewrap(node.right, f.right, wrapped, touched)
     if id(node) in wrapped:
         return BracketNode(left, right, True), Dia(Mode.I, Tensor(fl, fr))
     return BracketNode(left, right), Tensor(fl, fr)
@@ -1065,7 +1024,7 @@ class _Chart:
 
     def __init__(self, types, locked, goal, k: int, checks: _Checks):
         self.types, self.checks, self.k = types, checks, k
-        n = self.n = len(types)
+        n = len(types)
         # the product arguments and the hypotheses the goal and types add
         self.products = set()
         names = set()
@@ -1097,10 +1056,11 @@ class _Chart:
                       if c == (k, ())]
         self.splits = self._useful(items, n, self.roots)
 
-    def trees(self):
+    def trees(self) -> Iterator:
         """The bracketings whose every node uses a split that can reach
-        the goal, in the order of the full enumeration."""
-        return _bracketings(self.n, self.splits) if self.roots else ()
+        the goal, each with its antecedent, in the order of the full
+        enumeration; each call builds them afresh."""
+        return _bracketings(self.types, self.splits) if self.roots else iter(())
 
     # -- the span table
 
@@ -1256,48 +1216,56 @@ def _wrap_count(root: Formula, goal: Formula, locked: set[int]) -> int | None:
     return k if have == want and 0 <= k <= len(locked) else None
 
 
-def _candidates(choices, goal, trees, explicit, config, charted, failures) -> Iterator:
+def _candidates(choices, goal, tree, config, failures) -> Iterator:
     """The candidates of a sentence search, in order, as (assignment,
-    tree, antecedent): per lexical assignment, each tree of ``trees``
-    with k island wraps, for the one k the counts fix (every k from 0 to
-    the number of locked words without ``count_pruning``).  For each k
-    the count check skips, the stripped goal of its first candidate is
-    recorded in ``failures``, as the prover would record it.
+    tree, antecedent): per lexical assignment, the explicit bracketing
+    ``tree``, or each bracketing when it is None, with k island wraps,
+    for the one k the counts fix (every k from 0 to the number of locked
+    words without ``count_pruning``).  An explicit bracketing with a
+    wrap is taken as it is.  For each k the count check skips, the
+    stripped goal of its first candidate is recorded in ``failures``, as
+    the prover would record it.
 
-    With ``charted``, each assignment's chart is built first, and only
-    the candidates over the trees it yields come, for ``Prover.prove`` to
-    decide one by one; of ``trees`` only the first is read.  When the
-    chart skips the first candidate, its stripped goal is recorded in
-    ``failures`` too: no goal the prover meets on any candidate of the
-    assignment has a larger antecedent."""
+    When :func:`_charted` holds, each assignment's chart is built first,
+    and only the candidates over the trees it yields come, for
+    ``Prover.prove`` to decide one by one.  When the chart skips the
+    first candidate, its stripped goal is recorded in ``failures`` too:
+    no goal the prover meets on any candidate of the assignment has a
+    larger antecedent."""
+    fixed = tree is not None and _explicit_wrap(tree, len(choices))
+    charted = tree is None and _charted(choices, goal, config)
     checks = None
     for assignment in itertools.product(*choices):
-        memo: dict = {}
-        antecedent = lambda tree: _antecedent(tree, assignment, memo)
-        locked = set() if explicit else {i for i, t in enumerate(assignment) if _locked(t)}
-        first = next(iter(trees))
+        locked = set() if fixed else {i for i, t in enumerate(assignment) if _locked(t)}
+        # the right-branching tree, the first of the full enumeration
+        first = (next(_bracketings(assignment)) if tree is None
+                 else (tree, _antecedent(tree, assignment)))
         # the stripped goal of the first candidate with ``wraps`` wraps
         first_goal = lambda wraps: _strip(
-            next(_island_wraps(first, locked, antecedent, wraps))[1], goal)[:2]
+            next(_island_wraps(*first, locked, wraps))[1], goal)[:2]
         ks = range(len(locked) + 1)
         if config.count_pruning:
-            k = _wrap_count(antecedent(first), goal, locked)
+            k = _wrap_count(first[1], goal, locked)
             for skipped in (w for w in ks if w != k):
                 failures.record_failure(*first_goal(skipped))
             if k is None:
                 continue
             ks = (k,)
-        kept = trees
-        if charted:
+        if tree is not None:
+            kept = (first,)
+        elif charted:
             # built once an assignment passes the count check
             checks = checks or _Checks(config)
-            kept = _Chart(assignment, locked, goal, k, checks).trees()
-            if next(iter(kept), None) != first:
+            chart = _Chart(assignment, locked, goal, k, checks)
+            if next(chart.trees(), None) != first:
                 failures.record_failure(*first_goal(k))
-        for tree in kept:
+            kept = chart.trees()
+        else:
+            kept = _bracketings(assignment)
+        for bare, ante in kept:
             for wraps in ks:
-                for cand, ante in _island_wraps(tree, locked, antecedent, wraps):
-                    yield assignment, cand, ante
+                for cand, wrapped in _island_wraps(bare, ante, locked, wraps):
+                    yield assignment, cand, wrapped
 
 
 def _charted(choices, goal: Formula, config: SearchConfig) -> bool:
@@ -1331,10 +1299,9 @@ def derive_sentence(
     :func:`parse_bracketing`-style tree (or its textual form); ``None``
     enumerates all binary bracketings, right-branching first, and also tries
     island brackets around constituents headed by box-locked types.  The
-    bracketings are enumerated lazily over shared subtrees: the trees over
-    each span are built once per search, only as far as it asks for
-    them, and each lexical assignment builds the antecedent of each shared
-    subtree once.
+    bracketings are generated with their antecedents, per lexical
+    assignment and only as far as the search asks for them; nothing is
+    kept from one assignment to the next.
 
     With ``count_pruning`` on, counts are checked once per lexical
     assignment here, once per top-level goal by ``Prover.prove`` and once
@@ -1410,24 +1377,11 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
     """The search of :func:`derive_sentence` over checked input: the
     type sets ``choices`` of the words, in order, and an explicit
     bracketing ``tree`` or None."""
-    n = len(choices)
-    if tree is None:
-        charted = _charted(choices, goal, config)
-        # a charted search reads only the first, right-branching tree;
-        # its chart enumerates the trees it keeps
-        trees = (_right_branching(n),) if charted else _bracketings(n)
-        explicit = False
-    else:
-        charted = False
-        trees, explicit = (tree,), _explicit_wrap(tree, n)
-
     prover = Prover(config)
     parses: list[SentenceParse] = []
     bounded = False
     failures = SearchStats()
-    for assignment, cand, ante in _candidates(
-        choices, goal, trees, explicit, config, charted, failures
-    ):
+    for assignment, cand, ante in _candidates(choices, goal, tree, config, failures):
         result = prover.prove(Arrow(ante, goal))
         bounded = bounded or result.bounded
         deepest = result.stats.deepest_failure

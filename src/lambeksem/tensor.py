@@ -146,12 +146,23 @@ class TensorStore:
             raise TensorError("tensor store 'tensors' must map names to entries")
         store = cls(dims, seed, generate=generate)
         for name, entry in tensors.items():
-            if not (isinstance(entry, dict) and isinstance(entry.get("spaces"), list)
+            spaces = entry.get("spaces") if isinstance(entry, dict) else None
+            if not (isinstance(spaces, list) and all(isinstance(s, str) for s in spaces)
                     and "data" in entry):
-                raise TensorError(f"tensor {name!r} needs a 'spaces' list and 'data'")
-            spaces = tuple(entry["spaces"])
-            arr = np.array(entry["data"], dtype=np.float64).reshape(store.shape(spaces))
-            store.set(name, spaces, arr)
+                raise TensorError(f"tensor {name!r} needs a 'spaces' list of names and 'data'")
+            try:
+                shape = store.shape(spaces)
+            except TensorError as err:
+                raise TensorError(f"tensor {name!r}: {err}") from None
+            arr = _entries(entry["data"])
+            if arr is None:
+                raise TensorError(f"tensor {name!r}: 'data' must be a list of finite numbers")
+            if arr.size != math.prod(shape):
+                raise TensorError(
+                    f"tensor {name!r}: 'data' has {arr.size} entries, but spaces "
+                    f"{tuple(spaces)} under dims {store.dims} need {math.prod(shape)}"
+                )
+            store.set(name, spaces, arr.reshape(shape))
         return store
 
     def save(self, path) -> None:
@@ -162,6 +173,17 @@ class TensorStore:
     def load(cls, path, generate: bool = True) -> "TensorStore":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read(), generate=generate)
+
+
+def _entries(data) -> np.ndarray | None:
+    """The flat list of finite numbers ``data`` as an array, or None."""
+    if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
+        return None
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 # -- einsum evaluation

@@ -26,7 +26,6 @@ from lambeksem.formula import (
 )
 from lambeksem.prover import (
     SearchConfig,
-    _antecedent,
     _bracketings,
     _Chart,
     _charted,
@@ -227,18 +226,16 @@ def sentence_candidates(lex, words, goal):
     choices = [lex.types(w) for w in words]
     checks = _Checks(SearchConfig()) if _charted(choices, goal, SearchConfig()) else None
     for assignment in itertools.product(*choices):
-        memo: dict = {}
-        antecedent = lambda tree: _antecedent(tree, assignment, memo)
         locked = {i for i, t in enumerate(assignment) if _locked(t)}
-        k = _wrap_count(antecedent(next(iter(_bracketings(len(words))))), goal, locked)
+        k = _wrap_count(next(_bracketings(assignment))[1], goal, locked)
         if k is None:
             continue
         admitted = None
         if checks is not None:
             chart = _Chart(assignment, locked, goal, k, checks)
-            admitted = {format_bracketing(cand, words) for tree in chart.trees()
-                        for cand, _ in _island_wraps(tree, locked, antecedent, k)}
-        for tree in _bracketings(len(words)):
-            for cand, ante in _island_wraps(tree, locked, antecedent, k):
+            admitted = {format_bracketing(cand, words) for tree, ante in chart.trees()
+                        for cand, _ in _island_wraps(tree, ante, locked, k)}
+        for tree, bare in _bracketings(assignment):
+            for cand, ante in _island_wraps(tree, bare, locked, k):
                 yield ante, (None if admitted is None
                              else format_bracketing(cand, words) in admitted)

@@ -309,11 +309,13 @@ def test_eval_check_closed_form(capsys):
 
 def test_eval_bad_dims_exits_2(tmp_path, capsys):
     # a size that is not a number, or no name, is refused as the other
-    # malformed items are
+    # malformed items are, before any search: "Bob left" alone is not
+    # derivable
     for dims in ("N=zero", "N=", "=2", "N"):
-        code, out, err = run(capsys, "eval", "Bob", "left", "the", "room", "--dims", dims)
-        assert code == 2 and not out, dims
-        assert err == f"error: cannot parse dimension {dims!r}, want NAME=SIZE\n", dims
+        for words in (("Bob", "left", "the", "room"), ("Bob", "left")):
+            code, out, err = run(capsys, "eval", *words, "--dims", dims)
+            assert code == 2 and not out, (dims, words)
+            assert err == f"error: cannot parse dimension {dims!r}, want NAME=SIZE\n", dims
     # a size below 1, or a space given twice, is a stated error, whether
     # it comes from --dims or from a store file
     store = tmp_path / "store.json"
@@ -374,19 +376,45 @@ def test_eval_strict_store_missing_tensor_exits_2(tmp_path, capsys):
 def test_eval_malformed_store_exits_2(tmp_path, capsys):
     dims = {"N": 2, "S": 2}
     path = tmp_path / "store.json"
+    bob = lambda entry: {"schema": "tensors/1", "dims": dims, "tensors": {"Bob": entry}}
     for doc in (
+        None,  # no file
         [],
         {"schema": "tensors/1"},
         {"schema": "tensors/1", "dims": [1]},
         {"schema": "tensors/1", "dims": dims, "tensors": [1]},
-        {"schema": "tensors/1", "dims": dims, "tensors": {"Bob": {"spaces": ["N"]}}},
+        # an entry's error names its tensor
+        bob({"spaces": ["N"]}),
+        bob({"spaces": [["N"]], "data": [1, 2]}),
+        bob({"spaces": [{"x": 1}], "data": [1, 2]}),
+        bob({"spaces": ["X"], "data": [1, 2]}),
+        bob({"spaces": ["N"], "data": {"a": 1}}),
+        bob({"spaces": ["N"], "data": [1, 2, 3]}),
+        bob({"spaces": ["N"], "data": [1, None]}),
+        bob({"spaces": ["N"], "data": [1, "2"]}),
+        bob({"spaces": ["N"], "data": [1, 10**400]}),
     ):
-        path.write_text(json.dumps(doc))
-        code, out, err = run(
-            capsys, "eval", "Bob", "left", "the", "room", "--store", str(path)
-        )
-        assert code == 2 and not out, doc
-        assert err.startswith("error: ") and "Traceback" not in err, doc
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        # checked before any search: "Bob left" alone is not derivable
+        for words in (("Bob", "left", "the", "room"), ("Bob", "left")):
+            store = path if doc is not None else tmp_path / "missing.json"
+            code, out, err = run(capsys, "eval", *words, "--store", str(store))
+            assert code == 2 and not out, (doc, words)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            if isinstance(doc, dict) and "Bob" in doc.get("tensors", ()):
+                assert err.startswith("error: tensor 'Bob'"), err
+
+
+def test_eval_check_skips_an_oracle_over_its_budget(capsys):
+    # 2^25 terms at N=2,S=2, which would take minutes; the oracle refuses
+    # before it enumerates any
+    code, out, _ = run(capsys, "eval", "papers", "that", "Bob", "rejected", "without",
+                       "reading", "carefully", "--goal", "n", "--check", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle_skipped"] == "oracle would enumerate 33554432 terms, over 2097152"
+    assert "oracle_max_abs_diff" not in doc
 
 
 def test_eval_zero_store_gives_zero_vector(tmp_path, capsys):
