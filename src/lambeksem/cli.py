@@ -232,7 +232,12 @@ def cmd_eval(args) -> int:
     if diagram is None:
         print(_failure(result), file=sys.stderr)
         return EXIT_CODES[_verdict(result)]
-    value = tensor.eval_diagram(diagram, store)
+    # an overflow is reported as an error, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = tensor.eval_diagram(diagram, store)
+    if not np.isfinite(value.array).all():
+        raise tensor.TensorError("the meaning is not finite: evaluating it overflowed "
+                                 "the float range")
     report = {
         "schema": SCHEMA,
         "spaces": list(value.spaces),
@@ -255,7 +260,7 @@ def cmd_eval(args) -> int:
                 np.abs(value.array - ref.array).max()
             )
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print("spaces:", " ".join(report["spaces"]))
         print("value:", np.array2string(value.array, precision=10))

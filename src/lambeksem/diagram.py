@@ -68,10 +68,10 @@ class Node:
     name: str = ""
 
     def check(self) -> None:
+        """Check the legs against the kind; a box's name is not checked."""
         match self.kind:
             case "box":
-                if not self.name:
-                    raise DiagramError("box node needs a name")
+                pass
             case "cup":
                 if len(self.ins) != 2 or self.outs or self.ins[0] != self.ins[1]:
                     raise DiagramError(f"malformed cup node {self.nid}")
@@ -105,14 +105,11 @@ class Diagram:
     outputs: WireType
     nodes: tuple[Node, ...] = ()
     wires: tuple[tuple[Port, Port], ...] = ()
-    _by_id: dict[int, Node] = field(init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.nid)))
         object.__setattr__(self, "wires", tuple(sorted(self.wires)))
-        # the first of duplicate ids wins; validate refuses duplicates
-        object.__setattr__(self, "_by_id", {n.nid: n for n in reversed(self.nodes)})
 
     def __hash__(self) -> int:
         # kept: a shape is a memo key, looked up on every request
@@ -135,6 +132,11 @@ class Diagram:
         """The box names in node order."""
         return tuple(n.name for n in self.nodes if n.kind == "box")
 
+    @functools.cached_property
+    def _by_id(self) -> dict[int, Node]:
+        # the first of duplicate ids wins; validate refuses duplicates
+        return {n.nid: n for n in reversed(self.nodes)}
+
     def node(self, nid: int) -> Node:
         n = self._by_id.get(nid)
         if n is None:
@@ -154,6 +156,19 @@ class Diagram:
         raise DiagramError(f"bad port {port!r}")
 
     def validate(self) -> None:
+        """Check the structure, then that every box has a name."""
+        self.check_structure()
+        self.check_names()
+
+    def check_names(self) -> None:
+        if not all(self.box_names):
+            raise DiagramError("box node needs a name")
+
+    def check_structure(self) -> None:
+        """Check everything but the box names: the node kinds and their
+        legs, distinct node ids, and that wires join every port once,
+        each to a port of its space.  A shape passes when every diagram
+        of that shape does."""
         ids: set[int] = set()
         for n in self.nodes:
             if n.nid in ids:
@@ -297,14 +312,19 @@ class Builder:
 
 
 def named(shape: Diagram, names) -> Diagram:
-    """``shape`` with its boxes named ``names``, in node order."""
+    """``shape`` with its boxes named ``names``, in node order.
+
+    Only the box nodes are built anew.  The other nodes and the wires
+    are the shape's, already in order, so they are not sorted again, and
+    the shape and names are set to what they would be recomputed to.
+    """
     names = tuple(names)
     it = iter(names)
     nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs, next(it)) if n.kind == "box" else n
                   for n in shape.nodes)
-    d = Diagram(shape.inputs, shape.outputs, nodes, shape.wires)
-    # what the shape and names would be recomputed to
-    d.__dict__.update(shape=shape, box_names=names)
+    d = object.__new__(Diagram)
+    d.__dict__.update(inputs=shape.inputs, outputs=shape.outputs, nodes=nodes,
+                      wires=shape.wires, _hash=None, shape=shape, box_names=names)
     return d
 
 

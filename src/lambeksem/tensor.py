@@ -105,18 +105,16 @@ class TensorStore:
             return t.array
         if not self.generate:
             raise TensorError(f"tensor {name!r} is not in the store")
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        key = int.from_bytes(digest, "big") ^ self.seed
         shape = self.shape(spaces)
         if math.prod(shape) > MAX_TENSOR_ELEMENTS:
             raise TensorError(
                 f"tensor {name!r} of shape {shape} has more than "
                 f"{MAX_TENSOR_ELEMENTS} entries"
             )
-        rng = np.random.Generator(np.random.PCG64(key))
-        arr = rng.random(shape)
-        self.set(name, spaces, arr)
-        return self.tensors[name].array
+        digest = hashlib.sha256(name.encode("utf-8")).digest()
+        arr = _generator(int.from_bytes(digest, "big") ^ self.seed).random(shape)
+        self.tensors[name] = TensorValue(spaces, arr)
+        return arr
 
     # -- serialization
 
@@ -175,6 +173,16 @@ class TensorStore:
             return cls.from_json(fh.read(), generate=generate)
 
 
+def _generator(key: int) -> np.random.Generator:
+    """``Generator(PCG64(key))``, seeded faster.  A seed sequence reads
+    an integer as its 32-bit words, least significant first; given those
+    words as an array, it mixes the same entropy without converting them
+    one by one in Python."""
+    words = (key.bit_length() + 31) // 32
+    entropy = np.frombuffer(key.to_bytes(4 * words, "little"), dtype="<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
 def _entries(data) -> np.ndarray | None:
     """The flat list of finite numbers ``data`` as an array, or None."""
     if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
@@ -196,19 +204,19 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
     flags dropped (every space is modelled as self-dual).
 
     Everything but the tensors depends on the shape of ``d`` and on the
-    order of the store's dimensions: :func:`_eval_plan` keeps the
-    operands and the contraction path per shape, and
-    :func:`_eval_program` the pairwise steps numpy's
+    order of the store's dimensions: :func:`_eval_plan` checks the
+    structure of a shape and keeps its operands and contraction path,
+    and :func:`_eval_program` the pairwise steps numpy's
     ``einsum(optimize=path)`` would take, per shape and dimension order.
-    A call validates ``d`` and checks, before it fetches anything, that
-    no operand and no step's result has more than
+    A call checks that every box of ``d`` has a name, and, before it
+    fetches anything, that no operand and no step's result has more than
     ``MAX_TENSOR_ELEMENTS`` entries at the store's dimensions.  Then it
     fetches the box tensors, builds the copy and ones operands and runs
     the steps.
     """
-    d.validate()
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
     plan = _eval_plan(d.shape)
+    d.check_names()
     scalar = 1.0
     for space in plan.loops:
         scalar *= store.dim(space)
@@ -276,7 +284,10 @@ def _eval_plan(shape: Diagram) -> _Plan:
     closed loop, a scalar factor of its dimension.  The path is numpy's
     greedy choice with every space at ``PATH_DIM``, so it is a function
     of the shape alone, whatever the dimensions or the order of calls.
+    A shape that fails :meth:`Diagram.check_structure` raises, and is
+    not kept.
     """
+    shape.check_structure()
     port_class, spaces = index_classes(shape)
     boundary_ports = [("I", k) for k in range(len(shape.inputs))]
     boundary_ports += [("O", k) for k in range(len(shape.outputs))]

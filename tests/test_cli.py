@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_eval_malformed_store_exits_2(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, err
             if isinstance(doc, dict) and "Bob" in doc.get("tensors", ()):
                 assert err.startswith("error: tensor 'Bob'"), err
+
+
+def test_eval_an_overflowing_meaning_exits_2(tmp_path, capsys):
+    # every entry 1e300: the meaning overflows to infinity, which is no
+    # meaning, and which --json would print as the non-JSON Infinity;
+    # numpy's overflow warnings are errors here, so none may escape
+    store = TensorStore({"N": 2, "S": 2}, generate=False)
+    for name, spaces in (("papers", ("N",)), ("Bob", ("N",)), ("rejected", ("N", "S", "N"))):
+        store.set(name, spaces, np.full(store.shape(spaces), 1e300))
+    path = tmp_path / "store.json"
+    store.save(path)
+    for flags in ((), ("--json",), ("--check",)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "papers", "that", "Bob", "rejected",
+                                 "--goal", "n", "--store", str(path), *flags)
+        assert code == 2 and not out, flags
+        assert err == ("error: the meaning is not finite: evaluating it overflowed "
+                       "the float range\n")
 
 
 def test_eval_check_skips_an_oracle_over_its_budget(capsys):

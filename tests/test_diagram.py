@@ -15,14 +15,17 @@ from lambeksem.diagram import (
     dual_type,
     frobenius_network,
     identity,
+    named,
     normalize,
     permutation,
     spider,
     swap,
     tensor_par,
 )
+from lambeksem.lexicon import builtin_lexicon
 from lambeksem.tensor import TensorStore, eval_diagram
-from conftest import random_diagram
+from lambeksem.translate import compile_sentence
+from conftest import meaning_requests, random_diagram
 
 N = ("N", False)
 Nd = ("N", True)
@@ -245,3 +248,25 @@ def test_permutation_round_trip(store):
     assert back.inputs == wt and back.outputs == wt
     nb = normalize(back)
     assert len(nb.nodes) == 0
+
+
+def test_named_is_the_diagram_built_the_ordinary_way():
+    # every shape of the benchmark's meanings, compiled and normalized:
+    # naming a kept shape gives what the constructor gives from the named
+    # nodes and the wires in any order
+    lex = builtin_lexicon()
+    seen = set()
+    for _, parse, states in meaning_requests(lex, 1):
+        compiled = compile_sentence(parse, states)
+        for d in (compiled, normalize(compiled)):
+            if d.shape in seen:
+                continue
+            seen.add(d.shape)
+            nd = named(d.shape, d.box_names)
+            ordinary = Diagram(d.inputs, d.outputs, d.nodes[::-1], d.wires[::-1])
+            assert nd.nodes == ordinary.nodes and nd.wires == ordinary.wires
+            assert nd == ordinary and hash(nd) == hash(ordinary)
+            assert nd.shape == ordinary.shape and nd.box_names == ordinary.box_names
+            assert [nd.node(n.nid) for n in nd.nodes] == list(nd.nodes)
+            nd.validate()
+    assert len(seen) == 12

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from lambeksem.diagram import (
+    Diagram,
+    DiagramError,
+    Node,
     box,
     cap,
     compose,
@@ -21,6 +24,7 @@ from lambeksem.tensor import (
     TensorError,
     TensorStore,
     _eval_plan,
+    _generator,
     closed_form_1d,
     eval_diagram,
     oracle_eval,
@@ -46,6 +50,41 @@ def test_store_is_deterministic():
     )
     again = TensorStore({"N": 2, "S": 2}, seed=0)
     np.testing.assert_array_equal(again.get("Bob", ("N",)), s0.get("Bob", ("N",)))
+
+
+def test_generated_streams_are_pinned():
+    # the first entries at seed 0 and past 2**64, as float.hex() of the
+    # draws PCG64(sha256(name) ^ seed) made before the seeding was sped up
+    pinned = {
+        0: {"Bob": ["0x1.1b5ae2b41ef84p-2", "0x1.b8dbb93570dacp-3", "0x1.7c70921659180p-7"],
+            "rejected": ["0x1.06d8a9a05c8e4p-1", "0x1.57626685f9fb2p-1",
+                         "0x1.cb1d42748ee30p-5"],
+            "without": ["0x1.78c997e57fbebp-1", "0x1.86750eceb23e8p-3",
+                        "0x1.d8e667aae7e5ep-2"]},
+        2**64 + 12345: {
+            "Bob": ["0x1.d10b1689da00cp-2", "0x1.e6f364589c580p-7", "0x1.78134e4827764p-2"],
+            "rejected": ["0x1.6385ad00f2cb0p-4", "0x1.6b69f683972c0p-3",
+                         "0x1.be081b2a25818p-4"],
+            "without": ["0x1.ac7f453927f8ap-1", "0x1.133fd1aac502ap-2",
+                        "0x1.f293649cb28b1p-1"]},
+    }
+    spaces = {"Bob": ("N",), "rejected": ("N", "S", "N"), "without": ("S", "S")}
+    for seed, firsts in pinned.items():
+        store = TensorStore({"N": 3, "S": 2}, seed=seed)
+        for name, hexes in firsts.items():
+            drawn = store.get(name, spaces[name]).ravel()[:3]
+            assert [float(x).hex() for x in drawn] == hexes, (seed, name)
+    drawn = TensorStore({"N": 3}, seed=2**300 + 1).get("papers", ("N",))
+    assert [float(x).hex() for x in drawn] == [
+        "0x1.b07f2de4be0ccp-1", "0x1.56ea01f5203c4p-2", "0x1.034c66a0bf85ep-1"]
+
+
+def test_the_generator_is_pcg64_of_the_key():
+    # numpy reads an integer seed as its 32-bit words: keys of zero, one
+    # and several words, past the pool's four or not
+    for key in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**255, 2**256 - 1, 3 << 300):
+        want = np.random.Generator(np.random.PCG64(key)).random(5)
+        assert _generator(key).random(5).tobytes() == want.tobytes(), key
 
 
 def test_different_names_and_seeds_differ():
@@ -255,3 +294,41 @@ def test_network_evaluation_shapes():
         for j in range(3):
             if i != j:
                 assert np.all(out.array[i, j] == 0)
+
+
+def test_a_kept_shape_still_checks_every_box_name():
+    d = compose(box("a", (), (N,)), box("f", (N,), (S,)))
+    st = TensorStore({"N": 2, "S": 2}, seed=3)
+    eval_diagram(d, st)
+    misses = _eval_plan.cache_info().misses
+    nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs, "" if n.nid else n.name)
+                  for n in d.nodes)
+    unnamed = Diagram(d.inputs, d.outputs, nodes, d.wires)
+    assert unnamed.shape == d.shape
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="box node needs a name"):
+            eval_diagram(unnamed, st)
+    assert _eval_plan.cache_info().misses == misses
+    # the oracle, the independent check, validates the whole diagram
+    with pytest.raises(DiagramError, match="box node needs a name"):
+        oracle_eval(unnamed, st)
+
+
+def test_a_broken_shape_raises_on_every_call_and_is_not_kept():
+    st = TensorStore({"N": 2}, seed=3)
+    dangling = Diagram((), (N,), (Node(0, "box", (), ("N", "N"), "a"),),
+                       ((("o", 0, 0), ("O", 0)),))
+    duplicate = Diagram((), (N, N), (Node(0, "box", (), ("N",), "a"),
+                                     Node(0, "box", (), ("N",), "b")),
+                        ((("o", 0, 0), ("O", 0)), (("o", 0, 0), ("O", 1))))
+    for d, message in ((dangling, "dangling ports"), (duplicate, "duplicate node id 0")):
+        before = _eval_plan.cache_info()
+        for _ in range(2):
+            with pytest.raises(DiagramError, match=message):
+                eval_diagram(d, st)
+        after = _eval_plan.cache_info()
+        # each call plans the shape again, and none keeps it
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert after.currsize == before.currsize
+        with pytest.raises(DiagramError, match=message):
+            oracle_eval(d, st)
