@@ -168,6 +168,21 @@ class Box(Formula):
         self._modal("b", mode, body)
 
 
+def share(f: Formula, table: dict) -> Formula:
+    """``f`` with each subformula that equals one in ``table`` replaced
+    by that one, and its other subformulas added: the formulas shared
+    through one table are equal only when they are the same object, so
+    a dict keyed on them finds its key by identity, without comparing
+    subformulas.  It recurses once per level, so it takes formulas no
+    deeper than the parser allows (``MAX_DEPTH``)."""
+    got = table.get(f)
+    if got is None:
+        if type(f) is not Atom:
+            f = type(f)(*(share(p, table) if isinstance(p, Formula) else p for p in f._parts))
+        got = table[f] = f
+    return got
+
+
 # ---------------------------------------------------------------------------
 # Lexing / parsing
 

@@ -50,6 +50,7 @@ from .formula import (
     polarity_at,
     print_formula,
     replace_at,
+    share,
     subformula_at,
 )
 from .prover import Arrow, SearchConfig, prove
@@ -352,6 +353,8 @@ class Lexicon:
         self._raw: list[str] = []
         self._by_word: dict[str, list[LexEntry]] = {}
         self._states: dict[LexEntry, Diagram] = {}
+        # every entry's type and subformulas, one object per formula
+        self._formulas: dict[Formula, Formula] = {}
 
     # -- building
 
@@ -368,7 +371,7 @@ class Lexicon:
         if not word or " " in word:
             raise LexiconError(f"bad word token {word!r}")
         try:
-            syn = parse_type(syn_text)
+            syn = share(parse_type(syn_text), self._formulas)
         except FormulaError as err:
             raise LexiconError(f"{word}: bad type {syn_text!r}: {err}") from None
         sem = None

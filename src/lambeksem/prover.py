@@ -316,7 +316,11 @@ class SearchConfig:
     counts once per top-level goal and once per branch, before the branch
     is built; it also turns on the chart of :func:`derive_sentence`, which
     checks the goal as it checks any argument and keeps from the prover
-    the bracketings with a split that cannot reach it.
+    the bracketings with a split that cannot reach it.  The arrows the
+    chart checks are decided by a prover under this config, without
+    ``find_all``, and kept per config across a process's searches
+    (:func:`_checks`, at most ``CHECKS_CONFIGS`` configs and
+    ``CHECKS_SIZE`` arguments and arrows each).
     Disabling ``memoize`` or ``count_pruning`` is only useful for
     conservativity tests; ``count_pruning=False`` is the unpruned
     reference.  A config is frozen, as it is part of the key under which
@@ -680,18 +684,17 @@ class BracketLeaf:
 _TOO_DEEP = f"bracketing nests deeper than {MAX_DEPTH} levels"
 
 
-def _explicit_wrap(tree, n: int) -> bool:
-    """Whether the explicit bracketing ``tree`` has an island wrap.  Its
-    leaves, left to right, must be the words 0..n-1 in order, and it may
-    nest no deeper than a parsed one; ProverError otherwise."""
+def _check_bracketing(tree, n: int) -> None:
+    """Refuse a bracketing built in code that :func:`parse_bracketing`
+    would not give: its leaves, left to right, must be the words 0..n-1
+    in order, and it may nest no deeper than a parsed one."""
     out_of_order = "bracketing leaves must be the sentence words in order"
     stack = [(tree, 1)]
-    expected, wrap = 0, False
+    expected = 0
     while stack:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise ProverError(_TOO_DEEP)
-        wrap = wrap or node.wrap
         if isinstance(node, BracketNode):
             stack += ((node.right, depth + 1), (node.left, depth + 1))
         elif node.index != expected:
@@ -700,7 +703,17 @@ def _explicit_wrap(tree, n: int) -> bool:
             expected += 1
     if expected != n:
         raise ProverError(out_of_order)
-    return wrap
+
+
+def _wrap_total(tree) -> int:
+    """The number of island wraps in the bracketing ``tree``."""
+    stack, total = [tree], 0
+    while stack:
+        node = stack.pop()
+        total += node.wrap
+        if isinstance(node, BracketNode):
+            stack += (node.left, node.right)
+    return total
 
 
 def format_bracketing(tree, words: Sequence[str]) -> str:
@@ -954,20 +967,40 @@ def _kind(arg: Formula):
 
 
 class _Checks:
-    """The arrows the charts of one sentence search ask about, each
-    decided once by a prover of their own, so that the search's prover
-    and its memo tables see the same goals as without the charts."""
+    """The arrows the charts ask about, each decided once by a prover of
+    their own, so that a search's prover and its memo tables see the
+    same goals as without the charts.
+
+    A process keeps one ``_Checks`` per config across its searches
+    (:func:`_checks`): a verdict is a fact about the arrow and the
+    config, whichever search asked first.  It decides at most
+    ``CHECKS_SIZE`` arguments and arrows; the next new one starts it
+    afresh, with a new prover and empty tables."""
 
     def __init__(self, config: SearchConfig):
-        self.prover = Prover(replace(config, find_all=False))
+        self.config = replace(config, find_all=False)
+        self._clear()
+
+    def _clear(self) -> None:
+        self.prover = Prover(self.config)
         self._kinds: dict = {}
         self._derives: dict = {}
         self._hyps: dict = {}
 
+    def size(self) -> int:
+        """The arguments and arrows decided since the checks last started."""
+        return len(self._kinds) + len(self._derives)
+
     def kind(self, arg: Formula):
-        return self._kinds.get(arg) or self._kinds.setdefault(arg, _kind(arg))
+        got = self._kinds.get(arg)
+        if got is None:
+            if self.size() >= CHECKS_SIZE:
+                self._clear()
+            got = self._kinds[arg] = _kind(arg)
+        return got
 
     def hyp(self, a: str) -> Formula:
+        """The hypothesis ``<x>[x]a``, one object per atom."""
         f = self._hyps.get(a)
         if f is None:
             f = self._hyps[a] = Dia(Mode.X, Box(Mode.X, Atom(a)))
@@ -980,13 +1013,26 @@ class _Checks:
         key = (source, target)
         ok = self._derives.get(key)
         if ok is None:
+            if self.size() >= CHECKS_SIZE:
+                self._clear()
             result = self.prover.prove(Arrow(source, target))
             ok = self._derives[key] = result.ok or result.bounded
         return ok
 
-    def consumes(self, f: Formula, a: str) -> bool:
-        """Whether ``f`` takes the hypothesis ``<x>[x]a`` at its right."""
-        return isinstance(f, Over) and self.derives(self.hyp(a), f.arg)
+
+# The most arguments and arrows one config's chart checks decide before
+# they start afresh, and the most configs whose checks a process keeps.
+CHECKS_SIZE = 4096
+CHECKS_CONFIGS = 8
+
+
+@functools.lru_cache(maxsize=CHECKS_CONFIGS)
+def _checks(config: SearchConfig) -> _Checks:
+    """The chart checks of the searches under ``config``, kept across a
+    process's searches, least recently used config dropped first;
+    ``_checks.cache_clear()`` drops them all, and ``cache_info()`` counts
+    the configs kept."""
+    return _Checks(config)
 
 
 class _Chart:
@@ -1006,10 +1052,15 @@ class _Chart:
     product (only a product of constituents proves one), and otherwise by
     the prover on the constituent.
 
-    ``items[i, j]`` unites the items of every tree over the words
-    i..j-1 and keeps, for each, the splits and items that derive it
-    (there the prover's part is assumed to succeed).  Read down from the
-    items that prove the goal, checked as any argument is, they give the
+    ``_items[i, j]`` unites the items of every tree over the words i..j-1,
+    indexed by formula: it maps each formula to its classes, and each
+    class to the splits and items that derive the item (there the
+    prover's part is assumed to succeed).  So an atomic argument finds
+    its classes in one probe, and a simple or gap argument is checked
+    once per distinct formula.  The ways a span can be any other
+    argument are worked out once per (argument, span) and shared by
+    every functor and split that asks.  Read down from the items that
+    prove the goal, checked as any argument is, the derivations give the
     splits a candidate can use at each span (``splits``).  A tree whose
     every node uses such a split may still not reach the goal, since a
     split is kept for any item some tree needs there; ``Prover.prove``
@@ -1019,7 +1070,8 @@ class _Chart:
     and a constituent that would hold more than ``_MAX_HYPS`` hypotheses,
     or one from outside inside a product argument, is assumed to prove
     what it must.  So a candidate the prover can prove at any budget is
-    never skipped.
+    never skipped.  The arrow checks are ``checks``, which a process keeps
+    per config across its searches (:func:`_checks`).
     """
 
     def __init__(self, types, locked, goal, k: int, checks: _Checks):
@@ -1047,13 +1099,14 @@ class _Chart:
             (w in locked for w in range(n)), initial=0))
         self._class_lists = [[(w, hs) for w in range(most + 1) for hs in self.hyp_sets]
                              for most in range(k + 1)]
-        items: dict = {}
+        self._ways_of: dict = {}
+        self._eaten: dict = {}
+        items = self._items = {}
         for width in range(1, n + 1):
             for i in range(n - width + 1):
-                items[i, i + width] = self._span(items, i, i + width, i in locked)
+                items[i, i + width] = self._span(i, i + width, i in locked)
         # no hypothesis left over, none too many in the goal: no need is the prover's
-        self.roots = [need for c, need in self._fillers(goal, (0, ()), items[0, n], (0, n))
-                      if c == (k, ())]
+        self.roots = [need for c, need in self._ways(goal, 0, n) if c == (k, ())]
         self.splits = self._useful(items, n, self.roots)
 
     def trees(self) -> Iterator:
@@ -1062,93 +1115,125 @@ class _Chart:
         enumeration; each call builds them afresh."""
         return _bracketings(self.types, self.splits) if self.roots else iter(())
 
+    def right_branching_first(self) -> bool:
+        """Whether :meth:`trees` starts with the fully right-branching
+        tree, the first of the full enumeration: whether each span
+        (i, n) may split after its first word."""
+        n, splits = len(self.types), self.splits
+        return bool(self.roots) and all(
+            (i, n) in splits and splits[i, n][0] == i + 1 for i in range(n - 1))
+
     # -- the span table
 
-    def _classes(self, span):
-        i, j = span
+    def _most(self, i: int, j: int) -> int:
         before = self._locked_before
-        return self._class_lists[min(self.k, before[j] - before[i])]
+        return min(self.k, before[j] - before[i])
 
-    def _span(self, items, i, j, locked) -> dict:
-        """The items of span (i, j), each mapped to its derivations:
-        (k, left need, right need) for a split at k, (None, item, None)
-        for one from another item of the span."""
-        out: dict = {((0, ()), self.types[i]): []} if j == i + 1 else {}
-        for k in range(i + 1, j):
-            left, right = items[i, k], items[k, j]
+    def _span(self, i, j, locked) -> dict:
+        """The items of span (i, j) by formula, each class mapped to its
+        derivations: (s, left need, right need) for a split at s, (None,
+        item, None) for one from another item of the span."""
+        items, k = self._items, self.k
+        out: dict = {self.types[i]: {(0, ()): []}} if j == i + 1 else {}
+        for s in range(i + 1, j):
             # a product argument, read as the two halves of this split;
-            # hypotheses from outside it are left to _fillers
+            # hypotheses from outside it are left to _ways.  A side with
+            # no items still gives the classes the prover decides.
             for p in self.products:
-                for c, lneed in self._fillers(p.left, (0, ()), left, (i, k)):
-                    for c2, rneed in self._fillers(p.right, c, right, (k, j)):
-                        if not c2[1]:
-                            out.setdefault((c2, p), []).append((k, lneed, rneed))
-            for cl, f in left:
-                if isinstance(f, Over):
-                    for c, need in self._fillers(f.arg, cl, right, (k, j)):
-                        out.setdefault((c, f.result), []).append((k, (cl, f), need))
-            for cr, f in right:
-                if isinstance(f, Under):
-                    for c, need in self._fillers(f.arg, cr, left, (i, k)):
-                        out.setdefault((c, f.result), []).append((k, need, (cr, f)))
+                for c, lneed in self._ways(p.left, i, s):
+                    for c2, rneed in self._ways(p.right, s, j):
+                        c2 = _join(c2, c, k)
+                        if c2 and not c2[1]:
+                            out.setdefault(p, {}).setdefault(c2, []).append((s, lneed, rneed))
+            for f, classes in items[i, s].items():
+                if type(f) is Over and (ways := self._ways(f.arg, s, j)):
+                    for cl in classes:
+                        for c, need in ways:
+                            if joined := _join(c, cl, k):
+                                out.setdefault(f.result, {}).setdefault(joined, []).append(
+                                    (s, (cl, f), need))
+            for f, classes in items[s, j].items():
+                if type(f) is Under and (ways := self._ways(f.arg, i, s)):
+                    for cr in classes:
+                        for c, need in ways:
+                            if joined := _join(c, cr, k):
+                                out.setdefault(f.result, {}).setdefault(joined, []).append(
+                                    (s, need, (cr, f)))
         if locked:
-            for item in list(out):
+            boxed = [(c, f) for f, classes in out.items()
+                     if type(f) is Box and f.mode is Mode.I for c in classes]
+            for item in boxed:
                 (w, hs), f = item
-                if w < self.k and not hs and isinstance(f, Box) and f.mode is Mode.I:
-                    out.setdefault(((w + 1, ()), f.body), []).append((None, item, None))
+                if w < k and not hs:
+                    out.setdefault(f.body, {}).setdefault((w + 1, ()), []).append(
+                        (None, item, None))
         # hypotheses stacked at the span's node, fewest first
-        for size in range(_MAX_HYPS):
-            for item in [it for it in out if len(it[0][1]) == size]:
+        for size in range(_MAX_HYPS if self.names else 0):
+            held = [((w, hs), f) for f, classes in out.items()
+                    if type(f) is Over and self._eats(f)
+                    for w, hs in classes if len(hs) == size]
+            for item in held:
                 (w, hs), f = item
-                for a in self.names:
-                    if self.checks.consumes(f, a):
-                        c = (w, _msum(hs, (a,)))
-                        out.setdefault((c, f.result), []).append((None, item, None))
+                for a in self._eats(f):
+                    out.setdefault(f.result, {}).setdefault((w, _msum(hs, (a,))), []).append(
+                        (None, item, None))
         return out
 
-    def _fillers(self, arg, cf, side: dict, span):
-        """(class, need) for each way the span ``span``, whose items are
-        ``side``, can be the argument ``arg`` of a functor of class
-        ``cf``: the need is the side's item that proves it, or (class,
-        None) where the prover on the side decides."""
+    def _eats(self, f: Over) -> list:
+        """The atoms ``a`` whose hypothesis ``<x>[x]a`` ``f`` takes at its right."""
+        got = self._eaten.get(f)
+        if got is None:
+            checks = self.checks
+            got = self._eaten[f] = [a for a in self.names
+                                    if checks.derives(checks.hyp(a), f.arg)]
+        return got
+
+    def _ways(self, arg, i: int, j: int):
+        """(class, need) for each way the span (i, j) can be the
+        argument ``arg``: the class it adds to its functor's, and the
+        need, the span's item that proves it, or (class, None) where the
+        prover on the span decides.  An atom is looked up; any other
+        argument is worked out once per span."""
+        if type(arg) is Atom:
+            found = self._items[i, j].get(arg)
+            if not found:
+                return ()
+            most = self._most(i, j)
+            return [(c, (c, arg)) for c in found if c[0] <= most]
+        key = (arg, i, j)
+        got = self._ways_of.get(key)
+        if got is None:
+            got = self._ways_of[key] = list(self._find_ways(arg, i, j))
+        return got
+
+    def _find_ways(self, arg, i, j) -> Iterator:
+        side = self._items[i, j]
         kind, own, rest = self.checks.kind(arg)
         if kind == "gap":
             # the side's class counts the argument's own hypotheses too,
             # which are used up inside it
-            for c, g in side:
-                outer = _mdiff(c[1], own)
-                if outer is None:
-                    continue
-                joined = _join((c[0], outer), cf, self.k)
-                if joined and (g == rest or not isinstance(rest, Atom)
-                               and self.checks.derives(g, rest)):
-                    yield joined, (c, g)
+            for g, classes in side.items():
+                if g == rest or type(rest) is not Atom and self.checks.derives(g, rest):
+                    for c in classes:
+                        outer = _mdiff(c[1], own)
+                        if outer is not None:
+                            yield (c[0], outer), (c, g)
             # more hypotheses from outside than the classes count
-            for c in self._classes(span):
+            for c in self._class_lists[self._most(i, j)]:
                 if len(c[1]) + len(own) > _MAX_HYPS:
-                    joined = _join(c, cf, self.k)
-                    if joined:
-                        yield joined, (c, None)
-        elif type(arg) is Atom:
-            for c in self._classes(span):
-                if (c, arg) in side:
-                    joined = _join(c, cf, self.k)
-                    if joined:
-                        yield joined, (c, arg)
+                    yield c, (c, None)
         elif kind == "other" or kind == "product":
-            for c in self._classes(span):
-                joined = _join(c, cf, self.k)
-                if joined is None:
-                    continue
+            held = side.get(arg, ())
+            for c in self._class_lists[self._most(i, j)]:
                 if kind == "other" or c[1]:
-                    yield joined, (c, None)
-                elif (c, arg) in side:
-                    yield joined, (c, arg)
+                    yield c, (c, None)
+                elif c in held:
+                    yield c, (c, arg)
         else:
-            for c, g in side:
-                joined = _join(c, cf, self.k)
-                if joined and self.checks.derives(g, arg):
-                    yield joined, (c, g)
+            for g, classes in side.items():
+                if self.checks.derives(g, arg):
+                    for c in classes:
+                        yield c, (c, g)
 
     @staticmethod
     def _useful(items, n, roots) -> dict:
@@ -1171,7 +1256,8 @@ class _Chart:
                 seen = set(todo)
                 ks = set()
                 while todo:
-                    for k, left, right in items[i, j][todo.pop()]:
+                    c, f = todo.pop()
+                    for k, left, right in items[i, j][f][c]:
                         if k is None:
                             if left not in seen:
                                 seen.add(left)
@@ -1207,64 +1293,108 @@ class SentenceResult:
         return bool(self.parses)
 
 
-def _wrap_count(root: Formula, goal: Formula, locked: set[int]) -> int | None:
-    """The one wrap count k whose candidates over an assignment with the
-    bare antecedent ``root`` pass the count check, or None: a wrap adds
-    one ``<i>`` and starts at a distinct ``locked`` word."""
-    have, want = dict(count_vector(root)), dict(count_vector(goal))
-    k = want.pop("<i>", 0) - have.pop("<i>", 0)
-    return k if have == want and 0 <= k <= len(locked) else None
+def _wrap_count(types, goal: Formula, locked: set[int], wraps: int = 0) -> int | None:
+    """The one wrap count k whose candidates over the lexical assignment
+    ``types`` pass the count check, or None.  No bracketing changes an
+    assignment's counts, the sum of its words' own (each kept on its
+    formula by ``count_vector``), so no tree is built here.  A wrap adds
+    one ``<i>``: the ``wraps`` of an explicit tree count, and each of
+    the k more starts at a distinct ``locked`` word."""
+    have: dict = {}
+    for t in types:
+        for key, v in count_vector(t).items():
+            have[key] = have.get(key, 0) + v
+    want = dict(count_vector(goal))
+    k = want.pop("<i>", 0) - have.pop("<i>", 0) - wraps
+    if 0 <= k <= len(locked) and want == {a: v for a, v in have.items() if v}:
+        return k
+    return None
 
 
-def _candidates(choices, goal, tree, config, failures) -> Iterator:
+class _Deepest:
+    """The failed goal with the largest antecedent, the first of its
+    size in search order, as ``SearchStats.record_failure`` keeps it.
+    A goal is offered as the size of its antecedent and a function,
+    with its arguments, that builds it; only the goal kept at the end
+    is built, and only when a search ends without a parse."""
+
+    def __init__(self):
+        self.size, self._goal = 0, None
+
+    def offer(self, size: int, build: Callable[..., Arrow], *args) -> None:
+        if size > self.size:
+            self.size, self._goal = size, (build, args)
+
+    def goal(self) -> Arrow | None:
+        return None if self._goal is None else self._goal[0](*self._goal[1])
+
+
+def _first_goal(types, tree, locked: set[int], k: int, goal: Formula) -> Arrow:
+    """The stripped goal of the first candidate over ``types`` with
+    ``k`` island wraps, on the explicit ``tree``, or on the
+    right-branching tree when it is None."""
+    first = next(_bracketings(types)) if tree is None else (tree, _antecedent(tree, types))
+    lhs, rhs, _ = _strip(next(_island_wraps(*first, locked, k))[1], goal)
+    return Arrow(lhs, rhs)
+
+
+def _candidates(choices, goal, tree, config, deepest: _Deepest) -> Iterator:
     """The candidates of a sentence search, in order, as (assignment,
     tree, antecedent): per lexical assignment, the explicit bracketing
     ``tree``, or each bracketing when it is None, with k island wraps,
     for the one k the counts fix (every k from 0 to the number of locked
     words without ``count_pruning``).  An explicit bracketing with a
-    wrap is taken as it is.  For each k the count check skips, the
-    stripped goal of its first candidate is recorded in ``failures``, as
-    the prover would record it.
+    wrap is taken as it is.  Nothing of an assignment the count check
+    skips is built: its counts are its words' own (:func:`_wrap_count`).
+
+    For each k the count check skips, the stripped goal of its first
+    candidate is offered to ``deepest``, as the prover would record it.
+    Its size is known without building it: a bracketing of the words
+    has their sizes and a product per split, a wrap adds one, and
+    stripping the goal adds the same to every antecedent.  The sizes
+    grow with k, so only the largest k skipped is offered.
 
     When :func:`_charted` holds, each assignment's chart is built first,
-    and only the candidates over the trees it yields come, for
-    ``Prover.prove`` to decide one by one.  When the chart skips the
-    first candidate, its stripped goal is recorded in ``failures`` too:
-    no goal the prover meets on any candidate of the assignment has a
-    larger antecedent."""
-    fixed = tree is not None and _explicit_wrap(tree, len(choices))
+    with checks kept across searches (:func:`_checks`), and only the
+    candidates over the trees it yields come, for ``Prover.prove`` to
+    decide one by one.  When the chart skips the first candidate, its
+    stripped goal is offered to ``deepest`` too: no goal the prover
+    meets on any candidate of the assignment has a larger antecedent."""
+    wraps = 0 if tree is None else _wrap_total(tree)
     charted = tree is None and _charted(choices, goal, config)
     checks = None
+    # what stripping the goal adds to the size of any antecedent
+    growth = _strip(goal, goal)[0].size - goal.size
     for assignment in itertools.product(*choices):
-        locked = set() if fixed else {i for i, t in enumerate(assignment) if _locked(t)}
-        # the right-branching tree, the first of the full enumeration
-        first = (next(_bracketings(assignment)) if tree is None
-                 else (tree, _antecedent(tree, assignment)))
-        # the stripped goal of the first candidate with ``wraps`` wraps
-        first_goal = lambda wraps: _strip(
-            next(_island_wraps(*first, locked, wraps))[1], goal)[:2]
+        locked = set() if wraps else {i for i, t in enumerate(assignment) if _locked(t)}
+        # the size of a first candidate's stripped antecedent, less the wraps added
+        size = lambda: sum(t.size for t in assignment) + len(assignment) - 1 + wraps + growth
         ks = range(len(locked) + 1)
         if config.count_pruning:
-            k = _wrap_count(first[1], goal, locked)
-            for skipped in (w for w in ks if w != k):
-                failures.record_failure(*first_goal(skipped))
+            k = _wrap_count(assignment, goal, locked, wraps)
+            # the largest wrap count skipped, or -1 when none is
+            skipped = len(locked) - (k == len(locked))
+            if skipped >= 0:
+                deepest.offer(size() + skipped, _first_goal, assignment, tree, locked,
+                              skipped, goal)
             if k is None:
                 continue
             ks = (k,)
         if tree is not None:
-            kept = (first,)
+            kept = ((tree, _antecedent(tree, assignment)),)
         elif charted:
-            # built once an assignment passes the count check
-            checks = checks or _Checks(config)
+            # looked up once an assignment passes the count check
+            if checks is None:
+                checks = _checks(config)
             chart = _Chart(assignment, locked, goal, k, checks)
-            if next(chart.trees(), None) != first:
-                failures.record_failure(*first_goal(k))
+            if not chart.right_branching_first():
+                deepest.offer(size() + k, _first_goal, assignment, None, locked, k, goal)
             kept = chart.trees()
         else:
             kept = _bracketings(assignment)
         for bare, ante in kept:
-            for wraps in ks:
-                for cand, wrapped in _island_wraps(bare, ante, locked, wraps):
+            for w in ks:
+                for cand, wrapped in _island_wraps(bare, ante, locked, w):
                     yield assignment, cand, wrapped
 
 
@@ -1301,15 +1431,23 @@ def derive_sentence(
     island brackets around constituents headed by box-locked types.  The
     bracketings are generated with their antecedents, per lexical
     assignment and only as far as the search asks for them; nothing is
-    kept from one assignment to the next.
+    kept from one assignment to the next.  A textual bracketing is
+    checked once, by the parser; a tree built in code is checked here.
 
     With ``count_pruning`` on, counts are checked once per lexical
     assignment here, once per top-level goal by ``Prover.prove`` and once
     per branch inside the search.  Bracketings do not change an
-    assignment's counts and each island wrap adds one ``<i>`` diamond, so
-    the counts fix one wrap count per assignment (:func:`_wrap_count`) and
-    skip every other; a skipped count still counts its first candidate's
-    goal as a failed one for the diagnostics.
+    assignment's counts, which are the sum of its words' own, and each
+    island wrap adds one ``<i>`` diamond, so the counts fix one wrap
+    count per assignment (:func:`_wrap_count`) and skip every other
+    before any tree is built; a skipped count still counts its first
+    candidate's goal as a failed one for the diagnostics.
+
+    The diagnostic is settled only when a search ends without a parse.
+    Until then a failed goal the search has not built, such as a skipped
+    count's, is kept as its size and what builds it, and only the goal
+    with the largest antecedent, the first of that size, is built.  So a
+    derivable search builds no goal for its diagnostics.
 
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
     unbracketed search whose words' types it models (every bundled one),
@@ -1322,7 +1460,12 @@ def derive_sentence(
     unchanged.  When the chart skips an assignment's first candidate,
     that candidate's stripped goal counts as a failed one, as for a
     skipped wrap count.  Such a search is capped at ``MAX_SEARCH_WORDS``
-    words, any other unbracketed one at ``MAX_UNCHARTED_WORDS``.
+    words, any other unbracketed one at ``MAX_UNCHARTED_WORDS``.  A
+    chart indexes each span's items by formula.  The arrows it checks
+    with a prover of its own are kept per config across a process's
+    searches (:func:`_checks`): at most ``CHECKS_CONFIGS`` configs, each
+    deciding at most ``CHECKS_SIZE`` arguments and arrows before it
+    starts afresh; ``_checks.cache_clear()`` drops them.
 
     The words come into the search only through their types, and the
     bracketing names them by index.  So once the input is checked here,
@@ -1330,8 +1473,10 @@ def derive_sentence(
     bracketing tree and the config alone, whatever the words are:
     :func:`_derive` computes it and keeps the last ``SEARCH_CACHE_SIZE``
     results, which are frozen and shared by every caller that asks again.
-    ``lambeksem.prover._derive.cache_info()`` reads its hits and misses.
-    Input errors are raised on every call and never kept.
+    ``lambeksem.prover._derive.cache_info()`` reads its hits and misses,
+    and ``_derive.cache_clear()`` drops them, as ``_checks.cache_clear()``
+    drops the chart checks.  Input errors are raised on every call and
+    never kept.
 
     With ``config.find_all`` the result lists every parse, up to
     ``config.max_proofs``; a search that reaches that many stops there and
@@ -1364,11 +1509,13 @@ def derive_sentence(
                     + ("" if charted else " for this goal and these types")
                     + "; pass an explicit bracketing"
                 )
+    elif isinstance(bracketing, str):
+        # parsed trees are in order, cover the words and nest no deeper
+        # than MAX_DEPTH
+        bracketing = parse_bracketing(bracketing, words)
     else:
-        if isinstance(bracketing, str):
-            bracketing = parse_bracketing(bracketing, words)
         # checked before it is hashed as part of the key, which recurses
-        _explicit_wrap(bracketing, len(words))
+        _check_bracketing(bracketing, len(words))
     return _derive(tuple(choices), goal, bracketing, config)
 
 
@@ -1380,13 +1527,13 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
     prover = Prover(config)
     parses: list[SentenceParse] = []
     bounded = False
-    failures = SearchStats()
-    for assignment, cand, ante in _candidates(choices, goal, tree, config, failures):
+    deepest = _Deepest()
+    for assignment, cand, ante in _candidates(choices, goal, tree, config, deepest):
         result = prover.prove(Arrow(ante, goal))
         bounded = bounded or result.bounded
-        deepest = result.stats.deepest_failure
-        if deepest is not None:
-            failures.record_failure(deepest.source, deepest.target)
+        failed = result.stats.deepest_failure
+        if failed is not None:
+            deepest.offer(failed.source.size, Arrow, failed.source, failed.target)
         for proof in result.proofs:
             parses.append(SentenceParse(cand, assignment, ante, proof))
             if not config.find_all:
@@ -1397,8 +1544,9 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
     if parses:
         return SentenceResult(tuple(parses), bounded, "derivable")
     diag = "no bracketing succeeded"
-    if failures.deepest_failure is not None:
-        diag += f"; deepest failed subgoal: {failures.deepest_failure}"
+    failed = deepest.goal()
+    if failed is not None:
+        diag += f"; deepest failed subgoal: {failed}"
     return SentenceResult((), bounded, diag)
 
 

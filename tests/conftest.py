@@ -30,6 +30,7 @@ from lambeksem.prover import (
     _Chart,
     _charted,
     _Checks,
+    _checks,
     _derive,
     _island_wraps,
     _locked,
@@ -156,11 +157,12 @@ def composable_proof_pairs(rng: random.Random, count: int):
 
 @pytest.fixture(autouse=True)
 def cold_search_cache():
-    """Each test starts with no sentence search, no compiled, normalized
-    or evaluation plan shape and no contraction program kept, so a test
-    that counts what a search, a compile, a normalize or an evaluation
-    does sees it done."""
+    """Each test starts with no sentence search, no chart check, no
+    compiled, normalized or evaluation plan shape and no contraction
+    program kept, so a test that counts what a search, a compile, a
+    normalize or an evaluation does sees it done."""
     _derive.cache_clear()
+    _checks.cache_clear()
     _compiled_shape.cache_clear()
     _normal_shape.cache_clear()
     _eval_plan.cache_clear()
@@ -171,15 +173,17 @@ def cold_search_cache():
 def every_unlock(monkeypatch):
     """Within it, the prover unlocks any diamond-box pair at any position,
     the permissive reference for ``prover._unlocks_at``.  The sentence
-    searches kept on entry and on exit are dropped, so no search made
-    under one rule is read under the other."""
+    searches and chart checks kept on entry and on exit are dropped, so
+    nothing decided under one rule is read under the other."""
     _derive.cache_clear()
+    _checks.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(prover, "_unlocks_at", lambda path, sub: True)
             yield
     finally:
         _derive.cache_clear()
+        _checks.cache_clear()
 
 
 def readings(result) -> set:
@@ -227,7 +231,7 @@ def sentence_candidates(lex, words, goal):
     checks = _Checks(SearchConfig()) if _charted(choices, goal, SearchConfig()) else None
     for assignment in itertools.product(*choices):
         locked = {i for i, t in enumerate(assignment) if _locked(t)}
-        k = _wrap_count(next(_bracketings(assignment))[1], goal, locked)
+        k = _wrap_count(assignment, goal, locked)
         if k is None:
             continue
         admitted = None

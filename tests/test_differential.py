@@ -15,6 +15,11 @@ from the prover is checked to be one the prover rejects, for the
 patterns' atomic goals and for non-atomic goals made by peeling a word
 off a pattern's sentence.
 
+The diagnostic of an underivable search, which the search settles only
+once it has found no parse, is compared with a reference recorder that
+builds and records every failed goal as the search meets it, on the
+benchmark's underivable items and the random strings.
+
 The prover's unlock rule, which unlocks an extraction hypothesis over an
 atom only where it is used, is compared with the permissive rule that
 unlocks it anywhere, on the criterion-1 suite, the benchmark's generated
@@ -28,7 +33,9 @@ import random
 import numpy as np
 
 from lambeksem.diagram import normalize
-from lambeksem.formula import Atom, Box, Dia, Mode, Over, Tensor, Under, parse_formula
+from lambeksem.formula import (
+    Atom, Box, Dia, Mode, Over, Tensor, Under, count_vector, parse_formula,
+)
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     Arrow,
@@ -36,9 +43,15 @@ from lambeksem.prover import (
     BracketNode,
     Prover,
     SearchConfig,
+    SearchStats,
     _antecedent,
+    _Chart,
+    _charted,
+    _Checks,
     _island_wraps,
     _bracketings,
+    _locked,
+    _strip,
     derive_sentence,
     format_bracketing,
     parse_bracketing,
@@ -402,3 +415,78 @@ def test_unlock_rule_keeps_every_verdict_and_reading(monkeypatch):
                                "n", None))
     assert len(readings(found[paper])) == 2
     assert (len(found[paper].parses), len(want_found[paper].parses)) == (75, 1108)
+
+
+# -- the diagnostic against an eager recorder
+
+
+def eager_diagnostics(lex, words, goal, bracketing=None):
+    """The diagnostic of a search that finds no parse, each failed goal
+    built and recorded as the search meets it: per lexical assignment,
+    the stripped goal of the first candidate of each wrap count the
+    counts of its first tree's antecedent skip, then the first
+    candidate's when the chart skips it, then the deepest failure of
+    each candidate the prover decides."""
+    choices = [lex.types(w) for w in words]
+    tree = bracketing and parse_bracketing(bracketing, words)
+    fixed = tree is not None and any(sub.wrap for sub in _subtrees(tree))
+    charted = tree is None and _charted(choices, goal, DEFAULT)
+    prover, checks, failures = Prover(DEFAULT), _Checks(DEFAULT), SearchStats()
+    for assignment in itertools.product(*choices):
+        locked = set() if fixed else {i for i, t in enumerate(assignment) if _locked(t)}
+        first = (next(_bracketings(assignment)) if tree is None
+                 else (tree, reference_antecedent(tree, assignment)))
+
+        def first_goal(wraps):
+            return _strip(next(_island_wraps(*first, locked, wraps))[1], goal)[:2]
+
+        have, want = dict(count_vector(first[1])), dict(count_vector(goal))
+        k = want.pop("<i>", 0) - have.pop("<i>", 0)
+        if have != want or not 0 <= k <= len(locked):
+            k = None
+        for wraps in range(len(locked) + 1):
+            if wraps != k:
+                failures.record_failure(*first_goal(wraps))
+        if k is None:
+            continue
+        if tree is not None:
+            kept = [first]
+        elif charted:
+            chart = _Chart(assignment, locked, goal, k, checks)
+            if next(chart.trees(), None) != first:
+                failures.record_failure(*first_goal(k))
+            kept = chart.trees()
+        else:
+            kept = _bracketings(assignment)
+        for bare, ante in kept:
+            for _, wrapped in _island_wraps(bare, ante, locked, k):
+                result = prover.prove(Arrow(wrapped, goal))
+                assert not result.proofs, words
+                if result.stats.deepest_failure is not None:
+                    failures.record_failure(result.stats.deepest_failure.source,
+                                            result.stats.deepest_failure.target)
+    diag = "no bracketing succeeded"
+    if failures.deepest_failure is not None:
+        diag += f"; deepest failed subgoal: {failures.deepest_failure}"
+    return diag
+
+
+def test_diagnostics_match_the_eager_recorder():
+    lex = builtin_lexicon()
+    corpus = benchmark_corpus()
+    items = [(item["words"], item["goal"], item["bracketing"])
+             for item in corpus.suite_items(1) + [
+                 item for seed in (1, 2, 3) for item in corpus.generated_items(seed)]
+             if not item["derivable"]]
+    vocab = sorted({e.word for e in lex.entries})
+    items += [(words, goal, None) for words, goal, want
+              in draw_sentences(random.Random(2020), vocab) if want is None]
+    compared = 0
+    for words, goal_text, bracketing in items:
+        goal = parse_formula(goal_text)
+        got = derive_sentence(lex, words, goal, bracketing)
+        if got.ok:
+            continue
+        compared += 1
+        assert got.diagnostics == eager_diagnostics(lex, words, goal, bracketing), words
+    assert compared >= 60, compared

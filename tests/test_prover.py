@@ -1,13 +1,16 @@
 """Proof search: soundness, completeness on known arrows, search controls."""
 
+import functools
 import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from lambeksem import prover
 from lambeksem.formula import MAX_DEPTH, count_vector, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
+    CHECKS_CONFIGS,
     MAX_SEARCH_WORDS,
     MAX_UNCHARTED_WORDS,
     SEARCH_CACHE_SIZE,
@@ -19,6 +22,8 @@ from lambeksem.prover import (
     ProverError,
     SearchConfig,
     _bracketings,
+    _checks,
+    _Checks,
     _derive,
     _strip,
     alpha,
@@ -620,6 +625,31 @@ def test_a_skipped_first_candidate_names_its_stripped_goal():
         "deepest failed subgoal: ((np\\s)/np*np)*<x>[x]np -> s")
 
 
+def _spy(events, name, real, *args):
+    result = real(*args)
+    events.append((name, result if name == "_wrap_count" else None))
+    return result
+
+
+def test_a_skipped_assignment_builds_nothing(monkeypatch):
+    # eight lexical assignments, of which the counts keep only the last:
+    # the seven skipped ones build no tree, antecedent, island wrap or
+    # stripped goal, since a derivable search prints no diagnostic
+    lex = builtin_lexicon()
+    words = "this paper is easy to_explain well after studying thoroughly".split()
+    events = []
+    for name in ("_wrap_count", "_bracketings", "_island_wraps", "_strip", "_first_goal"):
+        monkeypatch.setattr(prover, name,
+                            functools.partial(_spy, events, name, getattr(prover, name)))
+    r = derive_sentence(lex, words, parse_formula("s"))
+    assert r.ok and not r.bounded
+    counts = [event for event in events if event[0] == "_wrap_count"]
+    assert [k for _, k in counts] == [None] * 7 + [1]
+    skipped = events[events.index(counts[0]):events.index(counts[-1])]
+    assert skipped == counts[:-1]
+    assert ("_first_goal", None) not in events
+
+
 def search_outcome(result, words):
     return (result.ok, result.bounded, result.diagnostics,
             [(format_bracketing(p.bracketing, words), p.types, proof_to_json(p.proof))
@@ -719,6 +749,36 @@ def test_search_cache_is_bounded():
         derive_sentence(lex, words, s, config=SearchConfig(max_proof_size=size))
     info = _derive.cache_info()
     assert (info.misses, info.currsize) == (SEARCH_CACHE_SIZE + 10, SEARCH_CACHE_SIZE)
+
+
+def test_kept_chart_checks_stay_within_their_bounds(monkeypatch):
+    # more configs than the table keeps, and a bound on one config's
+    # checks that every search passes, so that the checks start afresh
+    # again and again: every result is still a cold search's
+    size = 6
+    monkeypatch.setattr(prover, "CHECKS_SIZE", size)
+    clears = []
+    clear = _Checks._clear
+    monkeypatch.setattr(_Checks, "_clear", lambda self: clears.append(1) or clear(self))
+    lex = builtin_lexicon()
+    items = [(text.split(), parse_formula(goal))
+             for text, goal, bracketing, _ in CRITERION_1_SUITE if bracketing is None][:6]
+    configs = [SearchConfig(max_proof_size=40 + i) for i in range(CHECKS_CONFIGS + 2)]
+    warm = []
+    for config in configs:
+        for words, goal in items:
+            warm.append(search_outcome(derive_sentence(lex, words, goal, config=config), words))
+            assert _checks.cache_info().currsize <= CHECKS_CONFIGS
+            assert _checks(config).size() <= size
+    assert _checks.cache_info().misses == len(configs) > CHECKS_CONFIGS
+    assert len(clears) > 2 * len(configs)
+    cold = []
+    for config in configs:
+        for words, goal in items:
+            _derive.cache_clear()
+            _checks.cache_clear()
+            cold.append(search_outcome(derive_sentence(lex, words, goal, config=config), words))
+    assert warm == cold
 
 
 def test_input_errors_are_raised_on_every_call():
