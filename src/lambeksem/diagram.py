@@ -28,7 +28,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
-from .prover import SEARCH_CACHE_SIZE
+from .formula import SEARCH_CACHE_SIZE
 
 
 class DiagramError(ValueError):
@@ -99,11 +99,28 @@ class Node:
         return legs[0]
 
 
+class _NodesOnFirstUse:
+    """The ``nodes`` of a :class:`Diagram`.  The constructor stores a
+    diagram's nodes in the instance, which this (a non-data descriptor)
+    then never sees.  A diagram that :func:`named` made holds its shape
+    and box names instead, and its nodes are built from them when first
+    read, and kept.  Read on the class, it is the field's default."""
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return ()
+        names = iter(d.box_names)
+        nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs, next(names)) if n.kind == "box" else n
+                      for n in d.shape.nodes)
+        d.__dict__["nodes"] = nodes
+        return nodes
+
+
 @dataclass(frozen=True)
 class Diagram:
     inputs: WireType
     outputs: WireType
-    nodes: tuple[Node, ...] = ()
+    nodes: tuple[Node, ...] = _NodesOnFirstUse()
     wires: tuple[tuple[Port, Port], ...] = ()
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -314,17 +331,18 @@ class Builder:
 def named(shape: Diagram, names) -> Diagram:
     """``shape`` with its boxes named ``names``, in node order.
 
-    Only the box nodes are built anew.  The other nodes and the wires
-    are the shape's, already in order, so they are not sorted again, and
-    the shape and names are set to what they would be recomputed to.
+    The diagram holds the shape and the names, which are what
+    :func:`normalize` and :func:`~lambeksem.tensor.eval_diagram` read,
+    and the shape's boundary and wires, already in order.  Its nodes are
+    built only when first read: the shape's nodes, each box node built
+    anew with its name, once (:class:`_NodesOnFirstUse`).  So a request
+    that compiles, normalizes and evaluates builds no node.  The result
+    is a ``Diagram`` equal to, and hashing as, the one the constructor
+    builds from the named nodes.
     """
-    names = tuple(names)
-    it = iter(names)
-    nodes = tuple(Node(n.nid, n.kind, n.ins, n.outs, next(it)) if n.kind == "box" else n
-                  for n in shape.nodes)
     d = object.__new__(Diagram)
-    d.__dict__.update(inputs=shape.inputs, outputs=shape.outputs, nodes=nodes,
-                      wires=shape.wires, _hash=None, shape=shape, box_names=names)
+    d.__dict__.update(inputs=shape.inputs, outputs=shape.outputs, wires=shape.wires,
+                      _hash=None, shape=shape, box_names=tuple(names))
     return d
 
 

@@ -18,6 +18,7 @@ explicitly.  Modal prefixes bind tightest, slashes bind tighter than ``*``.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterator
 
 
@@ -222,6 +223,11 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
 # so that hostile input is refused before any recursive walk meets it.
 MAX_DEPTH = 100
 
+# The most entries each table the package keeps across calls holds (the
+# chart checks have their own bounds, in ``prover``), least recently
+# used dropped first.
+SEARCH_CACHE_SIZE = 256
+
 
 class _Parser:
     def __init__(self, text: str, atoms: set[str] | None):
@@ -344,8 +350,21 @@ def parse_formula(text: str, atoms: set[str] | None = None) -> Formula:
 
     When ``atoms`` is given, identifiers outside the set are rejected.
     Formulas nesting deeper than ``MAX_DEPTH`` are rejected.
+
+    Formulas are never changed once built, so without ``atoms`` the
+    result is kept per text (:func:`_parsed`, the last
+    ``SEARCH_CACHE_SIZE`` texts) and a repeated text, such as a goal
+    asked for again, returns the same formula without parsing.  A bad
+    text raises its ``FormulaError`` on every call and is never kept.
     """
-    return _Parser(text, atoms).parse()
+    if atoms is not None:
+        return _Parser(text, atoms).parse()
+    return _parsed(text)
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _parsed(text: str) -> Formula:
+    return _Parser(text, None).parse()
 
 
 def _needs_parens(child: Formula, side: str, parent: str) -> bool:

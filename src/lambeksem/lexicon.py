@@ -352,7 +352,10 @@ class Lexicon:
         self.entries: list[LexEntry] = []
         self._raw: list[str] = []
         self._by_word: dict[str, list[LexEntry]] = {}
-        self._states: dict[LexEntry, Diagram] = {}
+        # per word its types, and per (word, type) the first entry's
+        # network, kept as entries are added
+        self._types: dict[str, tuple[Formula, ...]] = {}
+        self._states: dict[tuple[str, Formula], Diagram] = {}
         # every entry's type and subformulas, one object per formula
         self._formulas: dict[Formula, Formula] = {}
 
@@ -394,7 +397,8 @@ class Lexicon:
         state = self._validate(entry)
         self.entries.append(entry)
         self._by_word.setdefault(word, []).append(entry)
-        self._states[entry] = state
+        self._types[word] = self._types.get(word, ()) + (syn,)
+        self._states.setdefault((word, syn), state)
         return entry
 
     def _validate(self, entry: LexEntry) -> Diagram:
@@ -442,7 +446,7 @@ class Lexicon:
     # -- lookup
 
     def types(self, word: str) -> tuple[Formula, ...]:
-        return tuple(e.syn for e in self._by_word.get(word, ()))
+        return self._types.get(word, ())
 
     def entry(self, word: str, syn: Formula) -> LexEntry:
         for e in self._by_word.get(word, ()):
@@ -455,9 +459,14 @@ class Lexicon:
 
         Each entry's network is built once, when the entry is added, and
         every call returns that diagram: entries are frozen and diagrams
-        immutable, so it is safe to share.  The lexicon keeps one network
-        per entry, so what it keeps is bounded by its own entries."""
-        return self._states[self.entry(word, syn)]
+        immutable, so it is safe to share.  The lexicon keeps the network
+        of the first entry of each word and type, the one :meth:`entry`
+        finds, so what it keeps is bounded by its own entries and a call
+        is one look-up."""
+        state = self._states.get((word, syn))
+        if state is None:
+            raise LexiconError(f"no entry {word} :: {print_formula(syn)}")
+        return state
 
     def states(self, words, types) -> list[Diagram]:
         return [self.state(w, t) for w, t in zip(words, types)]

@@ -31,6 +31,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .formula import (
     MAX_DEPTH,
+    SEARCH_CACHE_SIZE,
     Atom,
     Box,
     Dia,
@@ -668,11 +669,19 @@ def prove(goal: Arrow, config: SearchConfig | None = None) -> SearchResult:
 
 @dataclass(frozen=True)
 class BracketNode:
-    """A binary bracketing over word indices; ``wrap`` marks island brackets."""
+    """A binary bracketing over word indices; ``wrap`` marks island brackets.
+    A tree keeps its hash once computed, as a proof term does: a kept
+    tree is part of a search's key on every call that reads it."""
 
     left: "BracketNode | BracketLeaf"
     right: "BracketNode | BracketLeaf"
     wrap: bool = False
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.left, self.right, self.wrap))
+        return h
 
 
 @dataclass(frozen=True)
@@ -727,7 +736,7 @@ def format_bracketing(tree, words: Sequence[str]) -> str:
 def parse_bracketing(text: str, words: Sequence[str]):
     """Parse ``(w1 (w2 w3))`` style bracketings; ``i:(...)`` marks an island.
     Nesting deeper than ``MAX_DEPTH`` is refused, as for formulas."""
-    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    toks = _bracket_tokens(text)
     pos = 0
     next_word = 0
 
@@ -772,6 +781,50 @@ def parse_bracketing(text: str, words: Sequence[str]):
     if pos != len(toks) or next_word != len(words):
         raise ProverError(f"bracketing {text!r} does not cover the sentence")
     return tree
+
+
+def _bracket_tokens(text: str) -> list[str]:
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
+_MARKS = frozenset(("(", ")", "i:"))
+
+
+def _read_bracketing(text: str, words: Sequence[str]):
+    """``parse_bracketing(text, words)``, kept per skeleton.
+
+    The skeleton is the text's tokens with each word token blanked to
+    ``_``, or to ``i:_`` when it starts with ``i:``.  When the words the
+    tokens name are the sentence words, the tree is the skeleton's own,
+    parsed over blank words and kept (:func:`_skeleton_tree`): the
+    parser reads the two texts alike, token by token, and every word it
+    compares matches.  On any other text, or a skeleton that does not
+    parse, the parser runs on the text itself and raises what it
+    raises."""
+    skeleton, said = [], []
+    for tok in _bracket_tokens(text):
+        if tok in _MARKS:
+            skeleton.append(tok)
+        elif tok.startswith("i:"):
+            skeleton.append("i:_")
+            said.append(tok[2:])
+        else:
+            skeleton.append("_")
+            said.append(tok)
+    if said == list(words):
+        try:
+            return _skeleton_tree(" ".join(skeleton))
+        except ProverError:
+            pass
+    return parse_bracketing(text, words)
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _skeleton_tree(skeleton: str):
+    """The bracketing tree of a skeleton, as :func:`_read_bracketing`
+    makes it; a skeleton that does not parse raises, and is not kept."""
+    blanks = sum(tok not in _MARKS for tok in skeleton.split())
+    return parse_bracketing(skeleton, ("_",) * blanks)
 
 
 def _bracketings(types: Sequence[Formula], splits: Mapping | None = None,
@@ -1410,9 +1463,6 @@ MAX_SEARCH_WORDS = 14
 # Without the chart every bracketing goes to the prover, so that search
 # keeps the smaller cap.
 MAX_UNCHARTED_WORDS = 10
-# The most sentence searches kept by :func:`_derive`, least recently
-# used dropped first.
-SEARCH_CACHE_SIZE = 256
 
 
 def derive_sentence(
@@ -1432,7 +1482,12 @@ def derive_sentence(
     bracketings are generated with their antecedents, per lexical
     assignment and only as far as the search asks for them; nothing is
     kept from one assignment to the next.  A textual bracketing is
-    checked once, by the parser; a tree built in code is checked here.
+    parsed once per skeleton, the text with its words blanked, and the
+    tree kept for the last ``SEARCH_CACHE_SIZE`` skeletons
+    (:func:`_read_bracketing`); every call checks the text's words
+    against ``words``, and a text that does not match or does not parse
+    goes to :func:`parse_bracketing`, which raises its error.  A tree
+    built in code is checked here.
 
     With ``count_pruning`` on, counts are checked once per lexical
     assignment here, once per top-level goal by ``Prover.prove`` and once
@@ -1512,7 +1567,7 @@ def derive_sentence(
     elif isinstance(bracketing, str):
         # parsed trees are in order, cover the words and nest no deeper
         # than MAX_DEPTH
-        bracketing = parse_bracketing(bracketing, words)
+        bracketing = _read_bracketing(bracketing, words)
     else:
         # checked before it is hashed as part of the key, which recurses
         _check_bracketing(bracketing, len(words))

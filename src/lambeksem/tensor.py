@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Diagram, DiagramError, index_classes
-from .prover import SEARCH_CACHE_SIZE
+from .formula import SEARCH_CACHE_SIZE
 
 
 class TensorError(ValueError):
@@ -77,13 +77,13 @@ class TensorStore:
             self.set(name, t.spaces, t.array)
 
     def dim(self, space: str) -> int:
-        try:
-            return self.dims[space]
-        except KeyError:
-            raise TensorError(f"no dimension declared for space {space!r}") from None
+        return self.shape((space,))[0]
 
     def shape(self, spaces) -> tuple[int, ...]:
-        return tuple(self.dim(s) for s in spaces)
+        try:
+            return tuple([self.dims[s] for s in spaces])
+        except KeyError as err:
+            raise TensorError(f"no dimension declared for space {err.args[0]!r}") from None
 
     def set(self, name: str, spaces, array) -> None:
         t = TensorValue(tuple(spaces), array)
@@ -113,7 +113,10 @@ class TensorStore:
             )
         digest = hashlib.sha256(name.encode("utf-8")).digest()
         arr = _generator(int.from_bytes(digest, "big") ^ self.seed).random(shape)
-        self.tensors[name] = TensorValue(spaces, arr)
+        # a float64 array of the spaces' rank: stored as it is, without
+        # TensorValue's conversion and check
+        t = self.tensors[name] = object.__new__(TensorValue)
+        t.spaces, t.array = spaces, arr
         return arr
 
     # -- serialization
@@ -204,15 +207,17 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
     flags dropped (every space is modelled as self-dual).
 
     Everything but the tensors depends on the shape of ``d`` and on the
-    order of the store's dimensions: :func:`_eval_plan` checks the
-    structure of a shape and keeps its operands and contraction path,
-    and :func:`_eval_program` the pairwise steps numpy's
+    store's dimensions: :func:`_eval_plan` checks the structure of a
+    shape and keeps its operands and contraction path, and
+    :func:`_eval_program` the pairwise steps numpy's
     ``einsum(optimize=path)`` would take, per shape and dimension order.
-    A call checks that every box of ``d`` has a name, and, before it
-    fetches anything, that no operand and no step's result has more than
-    ``MAX_TENSOR_ELEMENTS`` entries at the store's dimensions.  Then it
-    fetches the box tensors, builds the copy and ones operands and runs
-    the steps.
+    Whether an operand or a step's result has more than
+    ``MAX_TENSOR_ELEMENTS`` entries is checked once per plan and
+    dimensions, and kept with the program (:func:`_sized_program`).  A
+    call checks that every box of ``d`` has a name, and raises a kept
+    failing bound before it fetches anything.  Then it fetches the box
+    tensors, builds the copy and ones operands and runs the steps at the
+    reshape sizes kept with the program.
     """
     out_spaces = tuple(s for s, _ in d.inputs) + tuple(s for s, _ in d.outputs)
     plan = _eval_plan(d.shape)
@@ -223,21 +228,19 @@ def eval_diagram(d: Diagram, store: TensorStore) -> TensorValue:
     if not plan.terms:
         return TensorValue(out_spaces, np.array(scalar))
     dims = store.shape(plan.spaces)
-    distinct = sorted({1, *dims})
-    program = _eval_program(plan, tuple(distinct.index(n) for n in dims))
-    for what, axes in program.bounds:
-        shape = tuple(dims[a] for a in axes)
-        if math.prod(shape) > MAX_TENSOR_ELEMENTS:
-            if type(what) is int:
-                what = f"tensor {d.box_names[what]!r}"
-            raise TensorError(
-                f"{what} of shape {shape} has more than {MAX_TENSOR_ELEMENTS} entries"
-            )
+    program, sizes, too_big = _sized_program(plan, dims)
+    if too_big is not None:
+        what, shape = too_big
+        if type(what) is int:
+            what = f"tensor {d.box_names[what]!r}"
+        raise TensorError(
+            f"{what} of shape {shape} has more than {MAX_TENSOR_ELEMENTS} entries"
+        )
     operands = [store.get(name, spaces) for name, spaces in zip(d.box_names, plan.boxes)]
     operands += [np.eye(dims[a]) for a in plan.copies]
     operands += [np.ones(dims[a]) for a in plan.ones]
-    for step in program.steps:
-        operands.append(step.run([operands.pop(p) for p in step.take], dims))
+    for step, size in zip(program.steps, sizes):
+        operands.append(step.run([operands.pop(p) for p in step.take], size))
     return TensorValue(out_spaces, operands[0] * scalar)
 
 
@@ -355,11 +358,13 @@ class _Step:
     """One step of a contraction program: pop the operands at ``take``
     and push what the rest computes from them.  With ``equation`` set,
     that is one einsum call over all of them.  Otherwise it is numpy's
-    pairwise one: prepare each side by its equation (diagonals, sums, a
-    transpose), reshape it to the fused sizes of its label groups,
-    multiply the two by ``matmul``, or elementwise when nothing is
-    contracted, then unfuse and permute the result.  A group is a tuple
-    of axes, and fuses to the product of their dimensions."""
+    pairwise one: prepare each side by its einsum equation (diagonals,
+    sums) or, where numpy's equation only reorders the axes, by that
+    transpose, which einsum returns as a view; reshape it to the fused
+    sizes of its label groups, multiply the two by ``matmul``, or
+    elementwise when nothing is contracted, then unfuse and permute the
+    result.  A group is a tuple of axes, and fuses to the product of
+    their dimensions."""
 
     take: tuple[int, ...]
     equation: str | None = None
@@ -369,26 +374,33 @@ class _Step:
     unfuse: tuple | None = None
     perm: tuple[int, ...] | None = None
 
-    def run(self, ops: list, dims: tuple[int, ...]) -> np.ndarray:
+    def sizes(self, dims: tuple[int, ...]) -> tuple:
+        """The shapes the step reshapes to at ``dims``: each side's
+        fused sizes, then the result's unfused ones, or None for no
+        reshape."""
+        return tuple(None if groups is None else
+                     tuple([math.prod([dims[a] for a in g]) for g in groups])
+                     for groups in (*self.fuse, self.unfuse))
+
+    def run(self, ops: list, sizes: tuple) -> np.ndarray:
+        """The step on ``ops`` at the ``sizes`` of :meth:`sizes`."""
         if self.equation is not None:
             return np.einsum(self.equation, *ops)
-        for k, (eq, groups) in enumerate(zip(self.prepare, self.fuse)):
-            if eq is not None:
-                ops[k] = np.einsum(eq, ops[k])
-            if groups is not None:
-                ops[k] = ops[k].reshape(_sizes(groups, dims))
+        for k, prep in enumerate(self.prepare):
+            if type(prep) is str:
+                ops[k] = np.einsum(prep, ops[k])
+            elif prep is not None:
+                ops[k] = ops[k].transpose(prep)
+            if sizes[k] is not None:
+                ops[k] = ops[k].reshape(sizes[k])
         if not self.matmul:
             return np.multiply(*ops)
         value = np.matmul(*ops)
-        if self.unfuse is not None:
-            value = value.reshape(_sizes(self.unfuse, dims))
+        if sizes[2] is not None:
+            value = value.reshape(sizes[2])
         if self.perm is not None:
             value = value.transpose(self.perm)
         return value
-
-
-def _sizes(groups, dims) -> tuple[int, ...]:
-    return tuple([math.prod([dims[a] for a in g]) for g in groups])
 
 
 @dataclass(frozen=True)
@@ -399,6 +411,24 @@ class _Program:
 
     bounds: tuple
     steps: tuple[_Step, ...]
+
+
+@functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
+def _sized_program(plan: _Plan, dims: tuple[int, ...]) -> tuple:
+    """The program of ``plan`` at the dimensions ``dims`` of its spaces,
+    the reshape sizes of each of its steps there (:meth:`_Step.sizes`),
+    and the first of its bounds over ``MAX_TENSOR_ELEMENTS`` entries, as
+    (what, shape), or None.  All three are functions of the plan and the
+    dimensions alone, so they are kept per pair, and a call that fails
+    its bound finds the failure here again."""
+    distinct = sorted({1, *dims})
+    program = _eval_program(plan, tuple(distinct.index(n) for n in dims))
+    sizes = tuple(step.sizes(dims) for step in program.steps)
+    for what, axes in program.bounds:
+        shape = tuple(dims[a] for a in axes)
+        if math.prod(shape) > MAX_TENSOR_ELEMENTS:
+            return program, sizes, (what, shape)
+    return program, sizes, None
 
 
 @functools.lru_cache(maxsize=SEARCH_CACHE_SIZE)
@@ -459,7 +489,11 @@ def _pair_step(take, a, b, out, rank, axes) -> _Step:
     keep_b = [c for c in right if c not in left and c in out]
 
     def prepare(term, want):
-        return None if tuple(want) == term else f"{_letters(term)}->{_letters(want)}"
+        if tuple(want) == term:
+            return None
+        if len(want) == len(set(term)) == len(term):
+            return tuple(term.index(c) for c in want)
+        return f"{_letters(term)}->{_letters(want)}"
 
     def fused(groups):
         if all(len(g) == 1 for g in groups):

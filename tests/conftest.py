@@ -22,6 +22,7 @@ from lambeksem.formula import (
     Over,
     Tensor,
     Under,
+    _parsed,
     parse_formula,
 )
 from lambeksem.prover import (
@@ -34,11 +35,12 @@ from lambeksem.prover import (
     _derive,
     _island_wraps,
     _locked,
+    _skeleton_tree,
     _wrap_count,
     derive_sentence,
     format_bracketing,
 )
-from lambeksem.tensor import _eval_plan, _eval_program
+from lambeksem.tensor import _eval_plan, _eval_program, _sized_program
 from lambeksem.translate import _compiled_shape, extract_axiom_links
 
 SEM_ATOMS = ("np", "n", "s", "gp", "pp", "ap")
@@ -155,18 +157,21 @@ def composable_proof_pairs(rng: random.Random, count: int):
     return pairs
 
 
+# every table the package keeps across calls, each bounded by
+# SEARCH_CACHE_SIZE but the chart checks (CHECKS_CONFIGS)
+KEPT_TABLES = (_parsed, _skeleton_tree, _derive, _checks, _compiled_shape,
+               _normal_shape, _eval_plan, _eval_program, _sized_program)
+
+
 @pytest.fixture(autouse=True)
 def cold_search_cache():
     """Each test starts with no sentence search, no chart check, no
-    compiled, normalized or evaluation plan shape and no contraction
-    program kept, so a test that counts what a search, a compile, a
+    parsed goal text or bracketing skeleton, no compiled, normalized or
+    evaluation plan shape and no contraction program or size check
+    kept, so a test that counts what a parse, a search, a compile, a
     normalize or an evaluation does sees it done."""
-    _derive.cache_clear()
-    _checks.cache_clear()
-    _compiled_shape.cache_clear()
-    _normal_shape.cache_clear()
-    _eval_plan.cache_clear()
-    _eval_program.cache_clear()
+    for table in KEPT_TABLES:
+        table.cache_clear()
 
 
 @contextlib.contextmanager

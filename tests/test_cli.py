@@ -136,6 +136,18 @@ def test_parse_bad_bracketing_exits_2(capsys):
     assert code == 2
 
 
+def test_malformed_bracketings_exit_2_on_every_call(capsys):
+    # the well-formed text keeps its skeleton, which the wrong word shares
+    from test_kept_tables import GOOD, MALFORMED
+
+    assert run(capsys, "parse", *GOOD.replace("(", "").replace(")", "").split(),
+               "--goal", "n", "--bracketing", GOOD)[0] == 0
+    for words, text in MALFORMED:
+        first = run(capsys, "parse", *words, "--goal", "n", "--bracketing", text)
+        assert first[0] == 2 and first[2].startswith("error:"), text
+        assert run(capsys, "parse", *words, "--goal", "n", "--bracketing", text) == first
+
+
 def test_bad_goal_exits_2(capsys):
     code, _, err = run(capsys, "parse", "Bob", "left", "--goal", "s/")
     assert code == 2

@@ -258,15 +258,27 @@ def test_named_is_the_diagram_built_the_ordinary_way():
     seen = set()
     for _, parse, states in meaning_requests(lex, 1):
         compiled = compile_sentence(parse, states)
-        for d in (compiled, normalize(compiled)):
+        meaning = normalize(compiled)
+        # compiling and normalizing read only shapes and box names, so
+        # neither built a node
+        assert "nodes" not in compiled.__dict__ and "nodes" not in meaning.__dict__
+        for d in (compiled, meaning):
             if d.shape in seen:
                 continue
             seen.add(d.shape)
-            nd = named(d.shape, d.box_names)
             ordinary = Diagram(d.inputs, d.outputs, d.nodes[::-1], d.wires[::-1])
-            assert nd.nodes == ordinary.nodes and nd.wires == ordinary.wires
+            # compared and hashed before its nodes are read, and then
+            # read as they were built, once
+            nd = named(d.shape, d.box_names)
+            assert type(nd) is Diagram
             assert nd == ordinary and hash(nd) == hash(ordinary)
+            assert nd.nodes is nd.nodes
+            assert nd.nodes == ordinary.nodes and nd.wires == ordinary.wires
             assert nd.shape == ordinary.shape and nd.box_names == ordinary.box_names
             assert [nd.node(n.nid) for n in nd.nodes] == list(nd.nodes)
+            for fresh in (named(d.shape, d.box_names), nd):
+                assert fresh.to_json() == ordinary.to_json()
+                assert fresh.to_dot() == ordinary.to_dot()
+                assert repr(fresh) == repr(ordinary)
             nd.validate()
     assert len(seen) == 12

@@ -16,12 +16,18 @@ import pytest
 from lambeksem.diagram import DiagramError, _normal_shape, normalize
 from lambeksem.formula import parse_formula
 from lambeksem.lexicon import builtin_lexicon
-from lambeksem.prover import SEARCH_CACHE_SIZE, derive_sentence
-from lambeksem.tensor import TensorStore, _eval_plan, _eval_program, eval_diagram
+from lambeksem.prover import SEARCH_CACHE_SIZE, _checks, derive_sentence
+from lambeksem.tensor import (
+    TensorStore,
+    _eval_plan,
+    _eval_program,
+    _sized_program,
+    eval_diagram,
+)
 from lambeksem.translate import _compiled_shape, compile_sentence
-from conftest import meaning_requests, random_diagram
+from conftest import KEPT_TABLES, meaning_requests, random_diagram
 
-MEMOS = (_compiled_shape, _normal_shape, _eval_plan, _eval_program)
+MEMOS = (_compiled_shape, _normal_shape, _eval_plan, _eval_program, _sized_program)
 
 # N < S, N > S, N = S and a dimension of 1, each order at two tables
 DIM_PAIRS = (
@@ -46,8 +52,12 @@ def clear_memos():
 
 
 def test_each_memo_is_bounded_by_the_search_cache():
-    for memo in MEMOS:
-        assert memo.cache_info().maxsize == SEARCH_CACHE_SIZE
+    # every table kept across calls, the chart checks aside, which have
+    # bounds of their own
+    for memo in KEPT_TABLES:
+        if memo is not _checks:
+            assert memo.cache_info().maxsize == SEARCH_CACHE_SIZE, memo
+    assert set(MEMOS) < set(KEPT_TABLES)
 
 
 def test_warm_and_cold_compile_and_normalize_alike():
@@ -113,7 +123,10 @@ def test_two_words_of_one_class_share_each_entry():
     values = [eval_diagram(m, store) for m in meanings]
     for memo in MEMOS:
         info = memo.cache_info()
-        assert (info.hits, info.misses) == (1, 1), memo
+        # the second evaluation finds its program kept with its size
+        # check, at the same dimensions
+        want = (0, 1) if memo is _eval_program else (1, 1)
+        assert (info.hits, info.misses) == want, memo
     # the same plan, other tensors
     assert not np.array_equal(values[0].array, values[1].array)
 
