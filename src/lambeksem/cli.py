@@ -155,6 +155,9 @@ def cmd_parse(args) -> int:
 
 def _batch_line(line: str, lexicon: Lexicon, max_size: int):
     fields = [f.strip() for f in line.split("::")]
+    if len(fields) > 3:
+        raise UsageError("a batch line has at most three fields: "
+                         "words [:: goal [:: bracketing]]")
     words = fields[0].split()
     goal = parse_formula(fields[1]) if len(fields) > 1 and fields[1] else parse_formula("s")
     bracketing = fields[2] if len(fields) > 2 and fields[2] else None
@@ -171,9 +174,16 @@ def _batch_line(line: str, lexicon: Lexicon, max_size: int):
 
 def _run_batch(args, lexicon: Lexicon) -> int:
     with open(args.batch, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    reports = [_batch_line(ln, lexicon, args.max_size) for ln in lines]
+        lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1)]
+    reports = []
+    for number, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        try:
+            reports.append(_batch_line(line, lexicon, args.max_size))
+        # every error of the package is a ValueError
+        except (UsageError, ValueError) as err:
+            raise UsageError(f"{args.batch}:{number}: {err}") from None
     if args.json:
         print(json.dumps({"schema": SCHEMA, "results": reports}, indent=2))
     else:

@@ -201,13 +201,6 @@ def mon_tensor(f: ProofTerm, g: ProofTerm) -> ProofTerm:
     return _build("mon_tensor", None, (), (f, g))
 
 
-def mon_tensor_opt(f: ProofTerm, g: ProofTerm) -> ProofTerm:
-    """Product monotonicity that collapses a pair of identities."""
-    if f.rule == "id" and g.rule == "id":
-        return pid(Tensor(f.source, g.source))
-    return mon_tensor(f, g)
-
-
 def mon_over(f: ProofTerm, g: ProofTerm) -> ProofTerm:
     return _build("mon_over", None, (), (f, g))
 
@@ -593,7 +586,10 @@ class Prover:
 
                     def build_fwd(ts, path=path, l=l, res=res, arg=arg):
                         g, rest = ts[0], ts[1]
-                        inner = compose_opt(ev_over(arg, res), mon_tensor_opt(pid(l), g))
+                        # an identity argument proof is the identity on ev's source
+                        inner = ev_over(arg, res)
+                        if g.rule != "id":
+                            inner = compose(inner, mon_tensor(pid(l), g))
                         return compose_opt(rest, _lift(lhs, path, inner))
 
                     yield (
@@ -608,7 +604,9 @@ class Prover:
 
                     def build_bwd(ts, path=path, r=r, res=res, arg=arg):
                         g, rest = ts[0], ts[1]
-                        inner = compose_opt(ev_under(arg, res), mon_tensor_opt(g, pid(r)))
+                        inner = ev_under(arg, res)
+                        if g.rule != "id":
+                            inner = compose(inner, mon_tensor(g, pid(r)))
                         return compose_opt(rest, _lift(lhs, path, inner))
 
                     yield (
@@ -1335,15 +1333,51 @@ class SentenceParse:
     proof: ProofTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SentenceResult:
+    """What a sentence search found: its ``parses``, whether its budget
+    or the parse cap cut it off (``bounded``), and ``diagnostics``,
+    "derivable" or, for a search with no parse, the one-line report
+    ``no bracketing succeeded; deepest failed subgoal: A -> B``.
+
+    A search with no parse keeps its deepest failed goal unbuilt
+    (:class:`_Deepest`).  The goal is built and the report formatted
+    the first time ``diagnostics`` is read, and the text is kept, so a
+    caller that reads only ``ok`` and ``bounded``, as ``--batch`` does,
+    never builds it.  ``==``, ``hash`` and ``repr`` read the text, so
+    results compare and print by it."""
+
     parses: tuple[SentenceParse, ...]
     bounded: bool
-    diagnostics: str
+    _report: "str | _Deepest"
 
     @property
     def ok(self) -> bool:
         return bool(self.parses)
+
+    @property
+    def diagnostics(self) -> str:
+        report = self._report
+        if type(report) is not str:
+            # a kept result is frozen to its callers; only the report's form changes
+            report = report.render()
+            object.__setattr__(self, "_report", report)
+        return report
+
+    def _fields(self) -> tuple:
+        return self.parses, self.bounded, self.diagnostics
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"SentenceResult(parses={self.parses!r}, bounded={self.bounded!r}, "
+                f"diagnostics={self.diagnostics!r})")
 
 
 def _wrap_count(types, goal: Formula, locked: set[int], wraps: int = 0) -> int | None:
@@ -1368,8 +1402,15 @@ class _Deepest:
     """The failed goal with the largest antecedent, the first of its
     size in search order, as ``SearchStats.record_failure`` keeps it.
     A goal is offered as the size of its antecedent and a function,
-    with its arguments, that builds it; only the goal kept at the end
-    is built, and only when a search ends without a parse."""
+    with its arguments, that builds it: :func:`_first_goal` with a
+    candidate's types, tree, frozenset of locked words, wrap count and
+    goal, or ``Arrow`` with the two sides of the prover's failed goal.
+    None of them changes once offered, and none is a prover, chart or
+    proof, so a search with no parse keeps the ``_Deepest`` in its
+    result (:class:`SentenceResult`), and :meth:`render` builds the goal
+    kept at the end only when the report is first read."""
+
+    __slots__ = ("size", "_goal")
 
     def __init__(self):
         self.size, self._goal = 0, None
@@ -1378,11 +1419,15 @@ class _Deepest:
         if size > self.size:
             self.size, self._goal = size, (build, args)
 
-    def goal(self) -> Arrow | None:
-        return None if self._goal is None else self._goal[0](*self._goal[1])
+    def render(self) -> str:
+        """The report of a search that found no parse."""
+        if self._goal is None:
+            return "no bracketing succeeded"
+        build, args = self._goal
+        return f"no bracketing succeeded; deepest failed subgoal: {build(*args)}"
 
 
-def _first_goal(types, tree, locked: set[int], k: int, goal: Formula) -> Arrow:
+def _first_goal(types, tree, locked: frozenset[int], k: int, goal: Formula) -> Arrow:
     """The stripped goal of the first candidate over ``types`` with
     ``k`` island wraps, on the explicit ``tree``, or on the
     right-branching tree when it is None."""
@@ -1410,16 +1455,22 @@ def _candidates(choices, goal, tree, config, deepest: _Deepest) -> Iterator:
     When :func:`_charted` holds, each assignment's chart is built first,
     with checks kept across searches (:func:`_checks`), and only the
     candidates over the trees it yields come, for ``Prover.prove`` to
-    decide one by one.  When the chart skips the first candidate, its
+    decide one by one.  Both are asked only once an assignment passes
+    the count check, so a search whose every assignment fails it walks
+    no type's spine.  When the chart skips the first candidate, its
     stripped goal is offered to ``deepest`` too: no goal the prover
-    meets on any candidate of the assignment has a larger antecedent."""
+    meets on any candidate of the assignment has a larger antecedent.
+    What is offered is kept, unbuilt, by a search with no parse: the
+    assignment, the tree, the locked words as a frozenset, k and the
+    goal."""
     wraps = 0 if tree is None else _wrap_total(tree)
-    charted = tree is None and _charted(choices, goal, config)
-    checks = None
+    # asked once an assignment passes the count check
+    charted = checks = None
     # what stripping the goal adds to the size of any antecedent
     growth = _strip(goal, goal)[0].size - goal.size
     for assignment in itertools.product(*choices):
-        locked = set() if wraps else {i for i, t in enumerate(assignment) if _locked(t)}
+        locked = frozenset() if wraps else frozenset(
+            i for i, t in enumerate(assignment) if _locked(t))
         # the size of a first candidate's stripped antecedent, less the wraps added
         size = lambda: sum(t.size for t in assignment) + len(assignment) - 1 + wraps + growth
         ks = range(len(locked) + 1)
@@ -1433,12 +1484,12 @@ def _candidates(choices, goal, tree, config, deepest: _Deepest) -> Iterator:
             if k is None:
                 continue
             ks = (k,)
+        if tree is None and charted is None:
+            charted = _charted(choices, goal, config)
+            checks = _checks(config) if charted else None
         if tree is not None:
             kept = ((tree, _antecedent(tree, assignment)),)
         elif charted:
-            # looked up once an assignment passes the count check
-            if checks is None:
-                checks = _checks(config)
             chart = _Chart(assignment, locked, goal, k, checks)
             if not chart.right_branching_first():
                 deepest.offer(size() + k, _first_goal, assignment, None, locked, k, goal)
@@ -1498,11 +1549,13 @@ def derive_sentence(
     before any tree is built; a skipped count still counts its first
     candidate's goal as a failed one for the diagnostics.
 
-    The diagnostic is settled only when a search ends without a parse.
-    Until then a failed goal the search has not built, such as a skipped
-    count's, is kept as its size and what builds it, and only the goal
-    with the largest antecedent, the first of that size, is built.  So a
-    derivable search builds no goal for its diagnostics.
+    A failed goal the search has not built, such as a skipped count's,
+    is kept as its size and what builds it, and only the goal with the
+    largest antecedent, the first of that size, is ever built: by a
+    search with no parse, and only when its result's ``diagnostics`` is
+    first read (:class:`SentenceResult`).  So neither a derivable search
+    nor a caller that reads only the verdict builds a goal or prints a
+    formula for the report.
 
     ``count_pruning`` also turns on the chart (:class:`_Chart`) for an
     unbracketed search whose words' types it models (every bundled one),
@@ -1598,11 +1651,7 @@ def _derive(choices: tuple, goal: Formula, tree, config: SearchConfig) -> Senten
             return SentenceResult(tuple(parses[:config.max_proofs]), True, "derivable")
     if parses:
         return SentenceResult(tuple(parses), bounded, "derivable")
-    diag = "no bracketing succeeded"
-    failed = deepest.goal()
-    if failed is not None:
-        diag += f"; deepest failed subgoal: {failed}"
-    return SentenceResult((), bounded, diag)
+    return SentenceResult((), bounded, deepest)
 
 
 # ---------------------------------------------------------------------------

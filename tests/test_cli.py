@@ -222,7 +222,24 @@ def test_batch_empty_sentence_exits_2(tmp_path, capsys):
     batch.write_text("Bob left the room\n:: s\n")
     code, out, err = run(capsys, "parse", "--batch", str(batch))
     assert code == 2 and not out
-    assert err == "error: no words to parse\n"
+    assert err == f"error: {batch}:2: no words to parse\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    # README documents words [:: goal [:: bracketing]]: a fourth field is refused
+    ("papers that Bob rejected :: n :: :: junk", "a batch line has at most three fields"),
+    ("foo bar :: s", "word 'foo' is not in the lexicon"),
+    ("papers that Bob rejected :: n/(", "unexpected end of input in 'n/('"),
+    ("papers that Bob rejected :: n :: (papers (that Bob))", "does not cover the sentence"),
+])
+def test_batch_line_errors_name_their_line(tmp_path, capsys, line, message):
+    # a comment and a blank line count as lines, as an editor numbers them
+    batch = tmp_path / "sentences.txt"
+    batch.write_text(f"# header\n\nBob left the room\n{line}\n")
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "parse", "--batch", str(batch), *extra)
+        assert code == 2 and not out
+        assert err.startswith(f"error: {batch}:4: ") and message in err, err
 
 
 def test_batch_takes_no_sentence_words(tmp_path, capsys):

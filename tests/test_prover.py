@@ -6,8 +6,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from lambeksem import prover
-from lambeksem.formula import MAX_DEPTH, count_vector, parse_formula
+from lambeksem import cli, prover
+from lambeksem.formula import MAX_DEPTH, Tensor, count_vector, parse_formula
 from lambeksem.lexicon import builtin_lexicon
 from lambeksem.prover import (
     CHECKS_CONFIGS,
@@ -31,6 +31,7 @@ from lambeksem.prover import (
     coev_over,
     coev_under,
     compose,
+    compose_opt,
     derive_sentence,
     ev_box,
     ev_over,
@@ -588,6 +589,13 @@ def test_chart_rejects_a_gap_outside_the_island_without_the_candidates(monkeypat
     assert len(calls) < candidates
 
 
+WINDOW_REPORT = (
+    "no bracketing succeeded; deepest failed subgoal: "
+    "n*((n\\n)/(np/<x>[x]np*(np\\s)/<x>[x]np)*(np*((np\\s)/np*(np/n*(n*"
+    "<i>([i](((np\\s)/<x>[x]np)\\((np\\s)/np))/gp/<x>[x]np*gp/np)))))) -> n"
+)
+
+
 def test_no_candidate_the_chart_rejects_reaches_the_prover(monkeypatch):
     # the chart rejects every candidate, the first one included; the
     # chart's own checks of its arguments go to a prover too, but never
@@ -603,11 +611,7 @@ def test_no_candidate_the_chart_rejects_reaches_the_prover(monkeypatch):
     r = derive_sentence(lex, words, goal)
     assert calls and not [g for g in calls if g.source in antecedents]
     assert not r.ok and not r.bounded
-    assert r.diagnostics == (
-        "no bracketing succeeded; deepest failed subgoal: "
-        "n*((n\\n)/(np/<x>[x]np*(np\\s)/<x>[x]np)*(np*((np\\s)/np*(np/n*(n*"
-        "<i>([i](((np\\s)/<x>[x]np)\\((np\\s)/np))/gp/<x>[x]np*gp/np)))))) -> n"
-    )
+    assert r.diagnostics == WINDOW_REPORT
 
 
 def test_a_skipped_first_candidate_names_its_stripped_goal():
@@ -648,6 +652,100 @@ def test_a_skipped_assignment_builds_nothing(monkeypatch):
     skipped = events[events.index(counts[0]):events.index(counts[-1])]
     assert skipped == counts[:-1]
     assert ("_first_goal", None) not in events
+
+
+def _counted(calls, name, real, *args):
+    calls.append(name)
+    return real(*args)
+
+
+def test_a_failed_search_renders_its_report_when_first_read(monkeypatch, tmp_path, capsys):
+    # the report's goal is built by _first_goal, for a skipped count or
+    # a first candidate the chart skips, or kept as the prover's failed
+    # arrow; either way its two sides are printed only when it is read
+    calls = []
+    for name in ("_first_goal", "print_formula"):
+        monkeypatch.setattr(prover, name,
+                            functools.partial(_counted, calls, name, getattr(prover, name)))
+    lex = builtin_lexicon()
+    unpruned = SearchConfig(count_pruning=False)
+    for text, goal, config, built, want in [
+        ("left Bob", "s", None, 1,
+         "no bracketing succeeded; deepest failed subgoal: (np\\s)/np*np -> s"),
+        ("proposal thoroughly", "n", None, 1,
+         "no bracketing succeeded; deepest failed subgoal: n*gp\\gp -> n"),
+        ("window that Bob left the room without closing", "n", None, 1, WINDOW_REPORT),
+        ("left Bob", "s", unpruned, 0,
+         "no bracketing succeeded; deepest failed subgoal: (np\\s)/np*np -> s"),
+    ]:
+        words, goal = text.split(), parse_formula(goal)
+        calls.clear()
+        r = derive_sentence(lex, words, goal, config=config)
+        assert not r.ok and not r.bounded and calls == [], text
+        got = r.diagnostics
+        assert got == want, text
+        assert calls == ["_first_goal"] * built + ["print_formula"] * 2, text
+        # the text is kept: a second read returns it and builds nothing
+        assert r.diagnostics is got and len(calls) == built + 2, text
+        # a second search of the same input compares, hashes and prints
+        # alike, whether or not its report has been read
+        _derive.cache_clear()
+        again = derive_sentence(lex, words, goal, config=config)
+        assert again is not r
+        assert again == r and hash(again) == hash(r) and repr(again) == repr(r), text
+    # a batch reads only the verdicts, so it renders no report
+    batch = tmp_path / "sentences.txt"
+    batch.write_text("window that Bob left the room without closing :: n\n")
+    _derive.cache_clear()
+    calls.clear()
+    assert cli.main(["parse", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().out.startswith("NO ")
+    assert calls == []
+
+
+def _tensor_opt(f, g):
+    """Product monotonicity that collapses a pair of identities, as the
+    application terms were once built."""
+    if f.rule == "id" and g.rule == "id":
+        return pid(Tensor(f.source, g.source))
+    return mon_tensor(f, g)
+
+
+@pytest.mark.parametrize("context, goal", [("{}", "s"), ("a*({})", "a*s")])
+@pytest.mark.parametrize("functor, argument, arg, build", [
+    ("s/n", "n", "n", "build_fwd"),
+    ("s/n", "n/n*n", "n", "build_fwd"),
+    ("n\\s", "n", "n", "build_bwd"),
+    ("n\\s", "n*n\\n", "n", "build_bwd"),
+])
+def test_an_application_term_equals_the_collapsed_construction(
+        context, goal, functor, argument, arg, build):
+    # with an identity argument proof the application is ev alone, with
+    # any other the composite of ev and the product's monotonicity
+    pair = (f"{functor}*({argument})" if build == "build_fwd"
+            else f"({argument})*{functor}")
+    lhs, rhs = parse_formula(context.format(pair)), parse_formula(goal)
+    path = () if context == "{}" else ("R",)
+    argument, arg = parse_formula(argument), parse_formula(arg)
+    branches = [(second, fn) for first, second, fn, _ in Prover()._branches(lhs, rhs, 0, True)
+                if first == (argument, arg) and fn.__name__ == build]
+    assert len(branches) == 1
+    second, fn = branches[0]
+    g = pid(arg) if argument == arg else prove(Arrow(argument, arg)).proofs[0]
+    assert (g.rule == "id") == (argument == arg)
+    rest = pid(rhs)
+    assert second() == (rhs, rhs)
+    sub = lhs.right if path else lhs
+    if build == "build_fwd":
+        l, res = sub.left, sub.left.result
+        inner = compose_opt(ev_over(arg, res), _tensor_opt(pid(l), g))
+    else:
+        r, res = sub.right, sub.right.result
+        inner = compose_opt(ev_under(arg, res), _tensor_opt(g, pid(r)))
+    want = compose_opt(rest, prover._lift(lhs, path, inner))
+    got = fn((g, rest))
+    assert got == want
+    assert validate(got) == Arrow(lhs, rhs)
 
 
 def search_outcome(result, words):
